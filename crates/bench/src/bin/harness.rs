@@ -12,26 +12,24 @@
 //!                          #   cold / cache-warm / 2× overload phases with
 //!                          #   throughput and p50/p99 latency [--check]
 //! harness out-of-core      # WC + PageRank with the dataset cache bounded to
-//!                          #   ~1/10 of the input, per backend, byte-checked
-//!                          #   against the unbounded run [--check]
-//! harness columnar         # columnar backend vs the row path on a scan-heavy
-//!                          #   fused expression chain, Word Count, and K-Means,
-//!                          #   byte- and error-identity checked [--check]
+//!                          #   ~1/10 of the input, byte-checked against the
+//!                          #   unbounded run [--check]
+//! harness columnar         # a transparent (`map_expr`) fused expression chain
+//!                          #   vs its opaque twin on the row path, byte- and
+//!                          #   error-identity checked; Word Count and K-Means
+//!                          #   layout counters [--check]
 //! harness all              # everything (used to fill EXPERIMENTS.md)
 //! harness --json <cmd>     # machine-readable: one JSON object per row,
-//!                          # each tagged with the execution backend
+//!                          # each tagged with the engine settings
 //! ```
 //!
 //! Sizes are laptop-scale; see DESIGN.md for the scale substitution. Set
-//! `DIABLO_SCALE` (default 1) to grow every sweep, `DIABLO_BACKEND`
-//! (`local`, `tile`, `spill`, `morsel`, `columnar`) to pick the engine's
-//! execution backend, and
+//! `DIABLO_SCALE` (default 1) to grow every sweep and
 //! `DIABLO_MEMORY_BUDGET` to bound shuffle memory — every engine-backed
-//! JSON row carries the full effective settings (backend, workers,
-//! partitions, morsel size, memory budget, scheduler, ordered) plus the
-//! spill counters (`spilled_records`, `spilled_bytes`, `spill_files`).
+//! JSON row carries the full effective settings (workers, partitions,
+//! morsel size, memory budget, dataset budget, scheduler, ordered) plus
+//! the spill counters (`spilled_records`, `spilled_bytes`, `spill_files`).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use diablo_baselines::casper_like::casper_translate_with_budget;
@@ -40,9 +38,7 @@ use diablo_bench::{
     compile_time, json_row, mb, millis, percentile, run_casper_program, run_diablo,
     run_diablo_outputs, run_handwritten, run_interp, secs, settings_fields, time_once,
 };
-use diablo_dataflow::{
-    executor_named, Context, Dataset, LocalExecutor, MorselExecutor, BACKEND_NAMES,
-};
+use diablo_dataflow::{Context, Dataset};
 use diablo_runtime::{BinOp, RuntimeError, TiledMatrix, Value};
 use diablo_serve::{Client, ServeConfig, Server};
 use diablo_workloads as wl;
@@ -165,9 +161,6 @@ fn table1(json: bool) {
                 json_row(&[
                     ("bench", "table1"),
                     ("program", w.name),
-                    // Compile-time rows run no engine; tagged for uniform
-                    // downstream grouping by the "backend" key.
-                    ("backend", "n/a"),
                     ("diablo_secs", &secs(diablo)),
                     ("mold", &mold_cell),
                     ("casper", &casper_cell),
@@ -817,22 +810,16 @@ fn scaling(json: bool, check: bool, mode_filter: Option<&str>) {
                 continue;
             }
             for &workers in &scaling_workers() {
-                let ctx = match mode {
+                let ctx = Context::new(workers, SCALING_PARTS);
+                match mode {
                     "morsel" => {
-                        let c = Context::new(workers, SCALING_PARTS)
-                            .with_executor(Arc::new(MorselExecutor));
                         if let Some(rows) = morsel_rows {
-                            c.set_morsel_size(*rows);
+                            ctx.set_morsel_size(*rows);
                         }
-                        c
                     }
-                    _ => {
-                        let c = Context::new(workers, SCALING_PARTS)
-                            .with_executor(Arc::new(LocalExecutor));
-                        c.set_static_scheduler(true);
-                        c
-                    }
-                };
+                    // The static scheduler never splits a partition.
+                    _ => ctx.set_static_scheduler(true),
+                }
                 ctx.set_memory_budget(None);
                 let d = ctx.from_partitions(parts.clone());
                 // Two repetitions, keeping the faster wall and the higher
@@ -948,7 +935,6 @@ fn scaling_check(measured: &[(String, String, usize, f64)]) {
 /// reference, and what did each side's cache counters say.
 struct OocRow {
     workload: String,
-    backend: String,
     identical: bool,
     budgeted_spills: u64,
     unbounded_spills: u64,
@@ -956,7 +942,7 @@ struct OocRow {
 }
 
 /// Out-of-core execution: Word Count and PageRank with the dataset cache
-/// bounded to ~1/10 of the input bytes, on every backend, checked
+/// bounded to ~1/10 of the input bytes, checked
 /// byte-identical (rows and order) against the unbounded run. The
 /// budgeted rows carry the cache counters (`dataset_spills`,
 /// `dataset_spilled_bytes`, `dataset_evictions`, `dataset_recomputes`)
@@ -966,9 +952,8 @@ fn out_of_core(json: bool, check: bool) {
     if !json {
         println!("== Out-of-core: dataset cache at ~1/10 of the input ========================");
         println!(
-            "{:<12} {:>7} {:>12} {:>8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>10}",
+            "{:<12} {:>12} {:>8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>10}",
             "workload",
-            "backend",
             "input_bytes",
             "budget",
             "unbounded",
@@ -987,71 +972,64 @@ fn out_of_core(json: bool, check: bool) {
         // At most a tenth of the input, capped at 4 KiB so even modest
         // inputs overflow the memory tier many times over.
         let budget = (input / 10).clamp(1, 4096);
-        for &backend in BACKEND_NAMES {
-            let exec = || executor_named(backend).expect(backend);
-            let free = Context::new(4, 8).with_executor(exec());
-            let before = free.stats().snapshot();
-            let (reference, free_t) = run_diablo_outputs(w, &free);
-            let base = free.stats().snapshot().since(&before);
+        let free = Context::new(4, 8);
+        let before = free.stats().snapshot();
+        let (reference, free_t) = run_diablo_outputs(w, &free);
+        let base = free.stats().snapshot().since(&before);
 
-            let ctx = Context::new(4, 8)
-                .with_executor(exec())
-                .with_dataset_budget(budget);
-            let before = ctx.stats().snapshot();
-            let (got, t) = run_diablo_outputs(w, &ctx);
-            let stats = ctx.stats().snapshot().since(&before);
-            let identical = got == reference;
-            rows.push(OocRow {
-                workload: w.name.to_string(),
-                backend: backend.to_string(),
-                identical,
-                budgeted_spills: stats.dataset_spills,
-                unbounded_spills: base.dataset_spills,
-                unbounded_evictions: base.dataset_evictions,
-            });
-            if json {
-                let settings = settings_fields(&ctx);
-                let input_s = input.to_string();
-                let free_s = secs(free_t);
-                let secs_s = secs(t);
-                let spills = stats.dataset_spills.to_string();
-                let spilled = stats.dataset_spilled_bytes.to_string();
-                let evicts = stats.dataset_evictions.to_string();
-                let recomputes = stats.dataset_recomputes.to_string();
-                let vec_batches = stats.vectorized_batches.to_string();
-                let row_fallbacks = stats.row_fallback_stages.to_string();
-                let identical_s = identical.to_string();
-                let mut fields: Vec<(&str, &str)> =
-                    vec![("section", "out_of_core"), ("workload", w.name)];
-                fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
-                fields.extend([
-                    ("input_bytes", input_s.as_str()),
-                    ("secs_unbounded", free_s.as_str()),
-                    ("secs", secs_s.as_str()),
-                    ("dataset_spills", spills.as_str()),
-                    ("dataset_spilled_bytes", spilled.as_str()),
-                    ("dataset_evictions", evicts.as_str()),
-                    ("dataset_recomputes", recomputes.as_str()),
-                    ("vectorized_batches", vec_batches.as_str()),
-                    ("row_fallback_stages", row_fallbacks.as_str()),
-                    ("identical", identical_s.as_str()),
-                ]);
-                println!("{}", json_row(&fields));
-            } else {
-                println!(
-                    "{:<12} {:>7} {:>12} {:>8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>10}",
-                    w.name,
-                    backend,
-                    input,
-                    budget,
-                    secs(free_t),
-                    secs(t),
-                    stats.dataset_spills,
-                    stats.dataset_evictions,
-                    stats.dataset_recomputes,
-                    identical
-                );
-            }
+        let ctx = Context::new(4, 8).with_dataset_budget(budget);
+        let before = ctx.stats().snapshot();
+        let (got, t) = run_diablo_outputs(w, &ctx);
+        let stats = ctx.stats().snapshot().since(&before);
+        let identical = got == reference;
+        rows.push(OocRow {
+            workload: w.name.to_string(),
+            identical,
+            budgeted_spills: stats.dataset_spills,
+            unbounded_spills: base.dataset_spills,
+            unbounded_evictions: base.dataset_evictions,
+        });
+        if json {
+            let settings = settings_fields(&ctx);
+            let input_s = input.to_string();
+            let free_s = secs(free_t);
+            let secs_s = secs(t);
+            let spills = stats.dataset_spills.to_string();
+            let spilled = stats.dataset_spilled_bytes.to_string();
+            let evicts = stats.dataset_evictions.to_string();
+            let recomputes = stats.dataset_recomputes.to_string();
+            let vec_batches = stats.vectorized_batches.to_string();
+            let row_fallbacks = stats.row_fallback_stages.to_string();
+            let identical_s = identical.to_string();
+            let mut fields: Vec<(&str, &str)> =
+                vec![("section", "out_of_core"), ("workload", w.name)];
+            fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
+            fields.extend([
+                ("input_bytes", input_s.as_str()),
+                ("secs_unbounded", free_s.as_str()),
+                ("secs", secs_s.as_str()),
+                ("dataset_spills", spills.as_str()),
+                ("dataset_spilled_bytes", spilled.as_str()),
+                ("dataset_evictions", evicts.as_str()),
+                ("dataset_recomputes", recomputes.as_str()),
+                ("vectorized_batches", vec_batches.as_str()),
+                ("row_fallback_stages", row_fallbacks.as_str()),
+                ("identical", identical_s.as_str()),
+            ]);
+            println!("{}", json_row(&fields));
+        } else {
+            println!(
+                "{:<12} {:>12} {:>8} {:>10} {:>10} {:>7} {:>7} {:>7} {:>10}",
+                w.name,
+                input,
+                budget,
+                secs(free_t),
+                secs(t),
+                stats.dataset_spills,
+                stats.dataset_evictions,
+                stats.dataset_recomputes,
+                identical
+            );
         }
     }
     if !json {
@@ -1069,7 +1047,7 @@ fn out_of_core(json: bool, check: bool) {
 fn out_of_core_check(rows: &[OocRow]) {
     let mut failures: Vec<String> = Vec::new();
     for r in rows {
-        let at = format!("{}/{}", r.workload, r.backend);
+        let at = &r.workload;
         if !r.identical {
             failures.push(format!("{at}: budgeted outputs diverged from unbounded"));
         }
@@ -1097,11 +1075,37 @@ fn out_of_core_check(rows: &[OocRow]) {
 const COLUMNAR_WORKERS: usize = 4;
 const COLUMNAR_PARTS: usize = 8;
 
-/// A scan-heavy fused chain built entirely from transparent expressions
-/// (`map_expr`/`filter_expr` carrying `RowExpr` IR): ~20 scalar ops per
-/// row across ten maps and two selective filters, so the stage compiler
-/// lowers the whole stage to per-column loops and the output stays small.
-fn columnar_chain(d: &Dataset) -> Dataset {
+/// Applies `e` as a `map` step: transparently (`map_expr`, carrying the
+/// `RowExpr` IR the engine lowers to per-column loops) or as its opaque
+/// twin (`map(move |v| e.eval(v))`, the same function hidden behind a
+/// closure, which keeps the stage on the row path).
+fn columnar_map(d: &Dataset, e: diablo_dataflow::RowExpr, transparent: bool) -> Dataset {
+    if transparent {
+        d.map_expr(e).expect("map_expr")
+    } else {
+        d.map(move |v| e.eval(v)).expect("map")
+    }
+}
+
+/// The `filter` counterpart of [`columnar_map`]: `filter_expr`, or a
+/// closure with `filter_expr`'s exact semantics.
+fn columnar_filter(d: &Dataset, e: diablo_dataflow::RowExpr, transparent: bool) -> Dataset {
+    if transparent {
+        d.filter_expr(e).expect("filter_expr")
+    } else {
+        d.filter(move |v| match e.eval(v)? {
+            Value::Bool(b) => Ok(b),
+            _ => Err(RuntimeError::new("condition must be boolean")),
+        })
+        .expect("filter")
+    }
+}
+
+/// A scan-heavy fused chain built from row expressions: ~20 scalar ops
+/// per row across ten maps and two selective filters, so the output stays
+/// small. Transparent, the whole stage lowers to per-column loops; its
+/// opaque twin runs the same functions tuple-at-a-time.
+fn columnar_chain(d: &Dataset, transparent: bool) -> Dataset {
     use diablo_dataflow::RowExpr as E;
     let lit = |n: i64| Box::new(E::Const(Value::Long(n)));
     let input = || Box::new(E::Input);
@@ -1123,9 +1127,9 @@ fn columnar_chain(d: &Dataset) -> Dataset {
     let mut out = d.clone();
     for (i, e) in steps.into_iter().enumerate() {
         out = if matches!(i, 4 | 8) {
-            out.filter_expr(e).expect("filter_expr")
+            columnar_filter(&out, e, transparent)
         } else {
-            out.map_expr(e).expect("map_expr")
+            columnar_map(&out, e, transparent)
         };
     }
     out
@@ -1134,7 +1138,6 @@ fn columnar_chain(d: &Dataset) -> Dataset {
 /// One columnar-vs-row comparison the table, JSON, and `--check` gates
 /// all read from.
 struct ColumnarRow {
-    workload: String,
     speedup: f64,
     identical: bool,
     errors_identical: bool,
@@ -1142,20 +1145,22 @@ struct ColumnarRow {
     row_fallback_stages: u64,
 }
 
-/// Columnar execution: the scan-heavy fused chain plus Word Count and
-/// K-Means, each run once on the row path (`local`) and once on the
-/// `columnar` backend, byte-checked (rows and order) against each other.
-/// A poisoned division mid-chain additionally checks that both backends
-/// surface the identical first error with its statement tag. `--check`
-/// gates: everything identical, the chain actually vectorized, and the
-/// columnar chain at least 3× faster than the row path.
+/// Columnar execution on the one engine: the scan-heavy fused chain runs
+/// once transparent (`map_expr`/`filter_expr`, lowered to columnar tiles)
+/// and once as its opaque twin (the same functions behind closures, on
+/// the row path), byte-checked (rows and order) against each other. A
+/// poisoned division mid-chain additionally checks that both paths
+/// surface the identical first error with its statement tag. Word Count
+/// and K-Means report the engine's own layout counters. `--check` gates:
+/// everything identical, the transparent chain vectorized with zero row
+/// fallbacks, and at least 3× faster than its twin.
 fn columnar(json: bool, check: bool) {
     if !json {
         println!("== Columnar: vectorized batches vs the tuple-at-a-time row path ===========");
         println!(
             "{:<14} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
             "workload",
-            "backend",
+            "path",
             "secs",
             "speedup",
             "vec_batches",
@@ -1165,33 +1170,79 @@ fn columnar(json: bool, check: bool) {
         );
     }
     let s = scale();
-    let mut rows: Vec<ColumnarRow> = Vec::new();
+    let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS);
+    ctx.set_memory_budget(None);
+    let settings = settings_fields(&ctx);
+    let emit = |workload: &str,
+                path: &str,
+                t: Duration,
+                speedup: Option<f64>,
+                stats: &diablo_dataflow::StatsSnapshot,
+                identical: Option<bool>,
+                errors_identical: Option<bool>| {
+        let opt = |b: Option<bool>| b.map_or("-".to_string(), |b| b.to_string());
+        if json {
+            let secs_s = secs(t);
+            let speedup_s = speedup.map(|x| format!("{x:.2}"));
+            let vecb = stats.vectorized_batches.to_string();
+            let fallb = stats.row_fallback_stages.to_string();
+            let (ident, errs) = (
+                identical.map(|b| b.to_string()),
+                errors_identical.map(|b| b.to_string()),
+            );
+            let mut fields: Vec<(&str, &str)> = vec![
+                ("bench", "columnar"),
+                ("workload", workload),
+                ("path", path),
+            ];
+            fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
+            fields.push(("secs", secs_s.as_str()));
+            if let Some(x) = &speedup_s {
+                fields.push(("speedup_vs_row", x.as_str()));
+            }
+            fields.extend([
+                ("vectorized_batches", vecb.as_str()),
+                ("row_fallback_stages", fallb.as_str()),
+            ]);
+            if let Some(x) = &ident {
+                fields.push(("identical", x.as_str()));
+            }
+            if let Some(x) = &errs {
+                fields.push(("errors_identical", x.as_str()));
+            }
+            println!("{}", json_row(&fields));
+        } else {
+            println!(
+                "{:<14} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
+                workload,
+                path,
+                secs(t),
+                speedup.map_or("-".to_string(), |x| format!("{x:.2}")),
+                stats.vectorized_batches,
+                stats.row_fallback_stages,
+                opt(identical),
+                opt(errors_identical),
+            );
+        }
+    };
 
-    // -- the fused expression chain -------------------------------------
-    let base: Vec<Value> = (0..1_500_000 * s as i64).map(Value::Long).collect();
-    let timed = |backend: &str| {
-        let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS)
-            .with_executor(executor_named(backend).expect(backend));
-        ctx.set_memory_budget(None);
-        let settings = settings_fields(&ctx);
-        let d = ctx.from_vec(base.clone());
+    // -- the fused expression chain and its opaque twin -----------------
+    let d = ctx.from_vec((0..1_500_000 * s as i64).map(Value::Long).collect());
+    let timed = |transparent: bool| {
         let before = ctx.stats().snapshot();
         let mut out: Vec<Value> = Vec::new();
-        let t = diablo_bench::time_median(2, || out = columnar_chain(&d).collect());
+        let t = diablo_bench::time_median(2, || out = columnar_chain(&d, transparent).collect());
         let stats = ctx.stats().snapshot().since(&before);
-        (t, out, stats, settings)
+        (t, out, stats)
     };
-    // The same chain with a division poisoned to hit zero on one mid-tile
-    // row; both backends must surface the identical tagged first error.
-    let poisoned_err = |backend: &str| -> String {
+    // One division poisoned to hit zero on a mid-tile row; both paths
+    // must surface the identical tagged first error.
+    let poisoned_err = |transparent: bool| -> String {
         use diablo_dataflow::RowExpr as E;
-        let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS)
-            .with_executor(executor_named(backend).expect(backend));
-        ctx.set_memory_budget(None);
         ctx.set_statement_label(Some("s1: F := 1000 / (V[i] - 123457)"));
-        let d = ctx
-            .from_vec((0..300_000).map(Value::Long).collect())
-            .map_expr(E::Bin(
+        let d = columnar_map(
+            &ctx.from_vec((0..300_000).map(Value::Long).collect()),
+            E::Bin(
                 BinOp::Div,
                 Box::new(E::Const(Value::Long(1000))),
                 Box::new(E::Bin(
@@ -1199,186 +1250,93 @@ fn columnar(json: bool, check: bool) {
                     Box::new(E::Input),
                     Box::new(E::Const(Value::Long(123_457))),
                 )),
-            ))
-            .expect("map_expr");
+            ),
+            transparent,
+        );
         ctx.set_statement_label(None);
         d.try_collect()
             .expect_err("poisoned chain must fail")
             .message
     };
-    let (row_t, row_rows, row_stats, row_settings) = timed("local");
-    let (col_t, col_rows, col_stats, col_settings) = timed("columnar");
+    let (row_t, row_rows, row_stats) = timed(false);
+    let (col_t, col_rows, col_stats) = timed(true);
     let identical = row_rows == col_rows;
-    let err_row = poisoned_err("local");
-    let err_col = poisoned_err("columnar");
+    let err_row = poisoned_err(false);
+    let err_col = poisoned_err(true);
     let errors_identical = err_row == err_col && err_col.contains("zero");
     let speedup = row_t.as_secs_f64() / col_t.as_secs_f64().max(1e-9);
-    rows.push(ColumnarRow {
-        workload: "fusion-chain".into(),
+    let chain = ColumnarRow {
         speedup,
         identical,
         errors_identical,
         vectorized_batches: col_stats.vectorized_batches,
         row_fallback_stages: col_stats.row_fallback_stages,
-    });
-    let emit = |workload: &str,
-                backend_secs: Duration,
-                speedup: f64,
-                stats_vec: u64,
-                stats_fallback: u64,
-                settings: &[(&'static str, String)],
-                identical: bool,
-                errors_identical: Option<bool>| {
-        if json {
-            let secs_s = secs(backend_secs);
-            let speedup_s = format!("{speedup:.2}");
-            let vecb = stats_vec.to_string();
-            let fallb = stats_fallback.to_string();
-            let ident = identical.to_string();
-            let mut fields: Vec<(&str, &str)> = vec![("bench", "columnar"), ("workload", workload)];
-            fields.extend(settings.iter().map(|(k, v)| (*k, v.as_str())));
-            fields.extend([
-                ("secs", secs_s.as_str()),
-                ("speedup_vs_row", speedup_s.as_str()),
-                ("vectorized_batches", vecb.as_str()),
-                ("row_fallback_stages", fallb.as_str()),
-                ("identical", ident.as_str()),
-            ]);
-            let err_s;
-            if let Some(e) = errors_identical {
-                err_s = e.to_string();
-                fields.push(("errors_identical", err_s.as_str()));
-            }
-            println!("{}", json_row(&fields));
-        } else {
-            let backend = settings
-                .iter()
-                .find(|(k, _)| *k == "backend")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("?");
-            println!(
-                "{:<14} {:>9} {:>10} {:>9.2} {:>12} {:>10} {:>10} {:>8}",
-                workload,
-                backend,
-                secs(backend_secs),
-                speedup,
-                stats_vec,
-                stats_fallback,
-                identical,
-                errors_identical.map_or("-".to_string(), |e| e.to_string()),
-            );
-        }
     };
+    let (ident, errs) = (Some(identical), Some(errors_identical));
     emit(
         "fusion-chain",
+        "row",
         row_t,
-        1.0,
-        row_stats.vectorized_batches,
-        row_stats.row_fallback_stages,
-        &row_settings,
-        identical,
-        Some(errors_identical),
+        Some(1.0),
+        &row_stats,
+        ident,
+        errs,
     );
     emit(
         "fusion-chain",
+        "columnar",
         col_t,
-        speedup,
-        col_stats.vectorized_batches,
-        col_stats.row_fallback_stages,
-        &col_settings,
-        identical,
-        Some(errors_identical),
+        Some(speedup),
+        &col_stats,
+        ident,
+        errs,
     );
 
-    // -- full compiled workloads ----------------------------------------
+    // -- full compiled workloads: the engine's per-stage layout ---------
     for w in [
         wl::word_count(20_000 * s, 91),
         wl::kmeans(2_000 * s, 3, 1, 92),
     ] {
-        let run = |backend: &str| {
-            let ctx = Context::new(COLUMNAR_WORKERS, COLUMNAR_PARTS)
-                .with_executor(executor_named(backend).expect(backend));
-            ctx.set_memory_budget(None);
-            let settings = settings_fields(&ctx);
-            let before = ctx.stats().snapshot();
-            let (outs, t) = run_diablo_outputs(&w, &ctx);
-            let stats = ctx.stats().snapshot().since(&before);
-            (outs, t, stats, settings)
-        };
-        let (row_outs, row_t, row_stats, row_settings) = run("local");
-        let (col_outs, col_t, col_stats, col_settings) = run("columnar");
-        let identical = row_outs == col_outs;
-        let speedup = row_t.as_secs_f64() / col_t.as_secs_f64().max(1e-9);
-        rows.push(ColumnarRow {
-            workload: w.name.to_string(),
-            speedup,
-            identical,
-            errors_identical: true,
-            vectorized_batches: col_stats.vectorized_batches,
-            row_fallback_stages: col_stats.row_fallback_stages,
-        });
-        emit(
-            w.name,
-            row_t,
-            1.0,
-            row_stats.vectorized_batches,
-            row_stats.row_fallback_stages,
-            &row_settings,
-            identical,
-            None,
-        );
-        emit(
-            w.name,
-            col_t,
-            speedup,
-            col_stats.vectorized_batches,
-            col_stats.row_fallback_stages,
-            &col_settings,
-            identical,
-            None,
-        );
+        let before = ctx.stats().snapshot();
+        let (_, t) = run_diablo_outputs(&w, &ctx);
+        let stats = ctx.stats().snapshot().since(&before);
+        emit(w.name, "engine", t, None, &stats, None, None);
     }
     if !json {
         println!();
     }
     if check {
-        columnar_check(&rows);
+        columnar_check(&chain);
     }
 }
 
-/// The gates CI holds columnar execution to: every workload byte-identical
-/// to the row path, the poisoned chain's first error identical too, the
-/// fused chain genuinely vectorized end to end (batches counted, zero
-/// fallbacks), and at least 3× faster than tuple-at-a-time.
-fn columnar_check(rows: &[ColumnarRow]) {
+/// The gates CI holds columnar execution to: the transparent chain
+/// byte-identical to its opaque twin, the poisoned chain's first error
+/// identical too, the transparent chain genuinely vectorized end to end
+/// (batches counted, zero fallbacks), and at least 3× faster than
+/// tuple-at-a-time.
+fn columnar_check(r: &ColumnarRow) {
     let mut failures: Vec<String> = Vec::new();
-    for r in rows {
-        if !r.identical {
-            failures.push(format!(
-                "{}: columnar rows diverged from the row path",
-                r.workload
-            ));
-        }
-        if !r.errors_identical {
-            failures.push(format!("{}: columnar first error diverged", r.workload));
-        }
-        if r.workload == "fusion-chain" {
-            if r.speedup < 3.0 {
-                failures.push(format!(
-                    "fusion-chain: columnar speedup {:.2} (need ≥ 3.0)",
-                    r.speedup
-                ));
-            }
-            if r.vectorized_batches == 0 {
-                failures.push("fusion-chain: no vectorized batches counted".into());
-            }
-            if r.row_fallback_stages != 0 {
-                failures.push(format!(
-                    "fusion-chain: {} row-path fallbacks on a transparent chain",
-                    r.row_fallback_stages
-                ));
-            }
-        }
+    if !r.identical {
+        failures.push("fusion-chain: columnar rows diverged from the row path".into());
+    }
+    if !r.errors_identical {
+        failures.push("fusion-chain: columnar first error diverged".into());
+    }
+    if r.speedup < 3.0 {
+        failures.push(format!(
+            "fusion-chain: columnar speedup {:.2} (need ≥ 3.0)",
+            r.speedup
+        ));
+    }
+    if r.vectorized_batches == 0 {
+        failures.push("fusion-chain: no vectorized batches counted".into());
+    }
+    if r.row_fallback_stages != 0 {
+        failures.push(format!(
+            "fusion-chain: {} row-path fallbacks on a transparent chain",
+            r.row_fallback_stages
+        ));
     }
     if failures.is_empty() {
         eprintln!("columnar --check: all gates passed");

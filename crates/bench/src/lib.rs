@@ -258,7 +258,7 @@ pub fn secs(d: Duration) -> String {
 /// hand-rolled serializer — no serde offline). Values that parse as a
 /// number are emitted unquoted, everything else as an escaped string, so
 /// `("par_secs", "0.0042")` becomes `"par_secs":0.0042` while
-/// `("backend", "tile")` becomes `"backend":"tile"`.
+/// `("scheduler", "morsel")` becomes `"scheduler":"morsel"`.
 pub fn json_row(fields: &[(&str, &str)]) -> String {
     fn esc(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -290,13 +290,12 @@ pub fn mb(bytes: usize) -> String {
 
 /// The effective engine settings of a context as owned `(key, value)`
 /// pairs for [`json_row`], so every `BENCH_*.json` row is
-/// self-describing: a timing without its backend, worker count, memory
-/// budget, and scheduler is unreproducible. Push these into each row's
-/// field list (they include the `backend` key — do not add it twice).
+/// self-describing: a timing without its worker count, memory budget,
+/// and scheduler is unreproducible. Push these into each row's field
+/// list.
 pub fn settings_fields(ctx: &Context) -> Vec<(&'static str, String)> {
     let snap = ctx.stats_snapshot();
     vec![
-        ("backend", snap.backend),
         ("workers", snap.workers.to_string()),
         ("partitions", snap.partitions.to_string()),
         ("morsel_size", snap.morsel_size.to_string()),
@@ -379,13 +378,13 @@ mod tests {
     fn json_rows_quote_strings_and_not_numbers() {
         let row = json_row(&[
             ("bench", "table2"),
-            ("backend", "tile"),
+            ("scheduler", "morsel"),
             ("par_secs", "0.0042"),
             ("rows", "100"),
         ]);
         assert_eq!(
             row,
-            "{\"bench\":\"table2\",\"backend\":\"tile\",\"par_secs\":0.0042,\"rows\":100}"
+            "{\"bench\":\"table2\",\"scheduler\":\"morsel\",\"par_secs\":0.0042,\"rows\":100}"
         );
     }
 }

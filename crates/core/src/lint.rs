@@ -19,8 +19,8 @@
 //!   provably goes negative.
 //! * **D025 row fallback** — a fused chain that is columnar-eligible
 //!   except for one opaque expression (a record constructor, bag
-//!   aggregation, nested comprehension, …), so the columnar backend
-//!   demotes the whole stage to tuple-at-a-time.
+//!   aggregation, nested comprehension, …), so the engine runs the whole
+//!   stage tuple-at-a-time instead of in columnar tiles.
 //!
 //! Lints only run on programs that already passed the restriction checks,
 //! so patterns the analysis rejects (e.g. non-monoid updates *inside*
@@ -652,9 +652,9 @@ fn row_fallback(tp: &TypedProgram, compiled: &CompiledProgram, out: &mut Vec<Dia
             Diagnostic::warning(
                 codes::ROW_FALLBACK,
                 format!(
-                    "under the columnar backend, the fused chain computing `{name}` falls \
-                     back to tuple-at-a-time: {what} contains {kind}, which has no columnar \
-                     form, while the rest of the chain is vectorizable"
+                    "the fused chain computing `{name}` falls back to tuple-at-a-time: \
+                     {what} contains {kind}, which has no columnar form, while the rest \
+                     of the chain is vectorizable"
                 ),
                 span,
             )

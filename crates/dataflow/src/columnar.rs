@@ -3,9 +3,9 @@
 //! driver that runs eligible chains batch-at-a-time over per-column inner
 //! loops.
 //!
-//! Every other backend moves rows as boxed [`Value`] enums, one enum match
-//! per operator per tuple, even inside fused stages. This module
-//! generalizes the §5 tile runtime's batch layout to arbitrary datasets:
+//! The row path moves rows as boxed [`Value`] enums, one enum match per
+//! operator per tuple, even inside fused stages. This module generalizes
+//! the §5 tile runtime's batch layout to arbitrary datasets:
 //!
 //! * **[`RowExpr`]** — a small expression IR over whole rows. Operators
 //!   built from it (via `Dataset::map_expr` / `Dataset::filter_expr`, or
@@ -32,16 +32,16 @@
 //! Lane loops bail on the first faulting lane element, which is generally
 //! *not* the canonical first error of tuple-at-a-time execution (a later
 //! column of an earlier row may fail first, or the consumer's sink may
-//! reject an earlier row). Exactly like `drive_batch`, a failing tile is
-//! therefore **replayed tuple-at-a-time into the real sink**: nothing from
-//! the failed tile has been emitted yet, so the replay reproduces the
-//! byte-identical first error — statement tag included — that
-//! `LocalExecutor` would have raised. If the replay sails through (a
-//! non-deterministic operator), the batched error is kept.
+//! reject an earlier row). A failing tile is therefore **replayed
+//! tuple-at-a-time into the real sink**: nothing from the failed tile has
+//! been emitted yet, so the replay reproduces the byte-identical first
+//! error — statement tag included — that the row path would have raised.
+//! If the replay sails through (a non-deterministic operator), the batched
+//! error is kept.
 //!
-//! Stages containing a step without an expression (an opaque UDF) never
-//! enter the columnar path at all: `DriveMode::Columnar` demotes them to
-//! tuple-at-a-time per stage, records
+//! Chains containing a step without an expression (an opaque UDF) never
+//! enter the columnar path at all: the engine runs them tuple-at-a-time
+//! per stage, records
 //! [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot), and the
 //! plan trace notes `layout: row (…)` naming the opaque step.
 
@@ -50,9 +50,8 @@ use std::sync::Arc;
 
 use diablo_runtime::{BinOp, Func, RuntimeError, UnOp, Value};
 
-use crate::plan::{self, drive, ChunkPolicy, DriveMode, Result, Step, StepOp};
+use crate::plan::{drive, Result, Step, StepOp};
 use crate::stats::Stats;
-use crate::{Capabilities, Context, Executor, PartitionTask, Parts, PhysicalPlan};
 
 /// A transparent row expression: the part of a `map`/`filter` step the
 /// engine can see through and lower to per-column loops.
@@ -672,7 +671,7 @@ fn run_tile(rows: &[Value], steps: &[Step]) -> Result<Vec<Value>> {
 /// in columnar form**. Output rows and their order are identical to
 /// [`drive`]; a failing tile is replayed tuple-at-a-time into the real
 /// sink so the first error and its statement tag are byte-identical too
-/// (see the module docs and `drive_batch`).
+/// (see the module docs).
 pub(crate) fn drive_columnar(
     rows: &[Value],
     steps: &[Step],
@@ -704,96 +703,6 @@ pub(crate) fn drive_columnar(
         }
     }
     Ok(())
-}
-
-/// The columnar backend: identical plans, stage structure, shuffles, and
-/// results, but fused narrow chains whose steps are all transparent
-/// ([`RowExpr`]-described) run batch-at-a-time over typed column chunks.
-/// Stages with an opaque step fall back to tuple-at-a-time **per stage**
-/// (counted in [`StatsSnapshot::row_fallback_stages`](crate::StatsSnapshot)
-/// and noted in the plan trace as `layout: row (…)`).
-///
-/// The default batch width is 4096 rows; tune with the
-/// `DIABLO_COLUMNAR_BATCH` environment variable.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnarExecutor {
-    batch: usize,
-}
-
-impl ColumnarExecutor {
-    /// Default column-chunk width in rows.
-    pub const DEFAULT_BATCH: usize = 4096;
-
-    /// Creates a columnar executor with the given batch width.
-    pub fn new(batch: usize) -> ColumnarExecutor {
-        assert!(batch > 0, "columnar batch must be positive");
-        ColumnarExecutor { batch }
-    }
-
-    /// Creates a columnar executor sized from `DIABLO_COLUMNAR_BATCH`
-    /// (default [`ColumnarExecutor::DEFAULT_BATCH`]).
-    pub fn from_env() -> ColumnarExecutor {
-        let batch = std::env::var("DIABLO_COLUMNAR_BATCH")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(Self::DEFAULT_BATCH);
-        ColumnarExecutor::new(batch)
-    }
-
-    /// The configured batch width.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    fn mode(&self, ctx: &Context) -> DriveMode {
-        DriveMode::Columnar(self.batch, ctx.stats_arc())
-    }
-}
-
-impl Default for ColumnarExecutor {
-    fn default() -> ColumnarExecutor {
-        ColumnarExecutor::new(Self::DEFAULT_BATCH)
-    }
-}
-
-impl Executor for ColumnarExecutor {
-    fn name(&self) -> &'static str {
-        "columnar"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            vectorized: true,
-            fused_shuffle_read: true,
-            union_in_place: true,
-            spilling_exchange: false,
-            adaptive_chunking: false,
-            ordered_exchange: true,
-            morsel_scheduling: false,
-        }
-    }
-
-    fn materialize(&self, ctx: &Context, plan: &PhysicalPlan) -> Result<Parts> {
-        plan::materialize(ctx, &plan.op, &self.mode(ctx), ChunkPolicy::Fixed)
-    }
-
-    fn consume(
-        &self,
-        ctx: &Context,
-        plan: &PhysicalPlan,
-        label: &str,
-        task: &PartitionTask<'_>,
-    ) -> Result<Vec<Vec<Vec<Value>>>> {
-        plan::consume(
-            ctx,
-            &plan.op,
-            label,
-            &self.mode(ctx),
-            ChunkPolicy::Fixed,
-            task,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -1040,8 +949,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "columnar batch must be positive")]
-    fn zero_batch_panics() {
-        let _ = ColumnarExecutor::new(0);
+    fn every_tile_width_matches_the_row_path() {
+        // Widths 1 and 4 cut the input into many tiles (4 leaves a partial
+        // last one); 64 into a few. Pivot 101 poisons one row that
+        // survives the filter, so its tile replays tuple-at-a-time.
+        let rows = longs(&(0..203).collect::<Vec<i64>>());
+        let chain = |pivot: i64| {
+            vec![
+                step_map(
+                    RowExpr::Tuple(vec![
+                        RowExpr::Input,
+                        bin(BinOp::Mul, RowExpr::Input, RowExpr::Input),
+                    ]),
+                    None,
+                ),
+                step_filter(
+                    bin(
+                        BinOp::Ne,
+                        bin(BinOp::Mod, RowExpr::Col(0), RowExpr::Const(Value::Long(3))),
+                        RowExpr::Const(Value::Long(0)),
+                    ),
+                    None,
+                ),
+                step_map(
+                    bin(
+                        BinOp::Div,
+                        RowExpr::Col(1),
+                        bin(
+                            BinOp::Sub,
+                            RowExpr::Col(0),
+                            RowExpr::Const(Value::Long(pivot)),
+                        ),
+                    ),
+                    Some("s2: Y := V[i] * V[i] / (V[i] - pivot)"),
+                ),
+            ]
+        };
+        for width in [1, 4, 64] {
+            for pivot in [-1, 101] {
+                let steps = chain(pivot);
+                let stats = Stats::default();
+                let mut col_out = Vec::new();
+                let col = drive_columnar(&rows, &steps, width, &stats, &mut |v| {
+                    col_out.push(v);
+                    Ok(())
+                });
+                let mut row_out = Vec::new();
+                let row = rows.iter().try_for_each(|r| {
+                    drive(r, &steps, &mut |v| {
+                        row_out.push(v);
+                        Ok(())
+                    })
+                });
+                let at = format!("width {width}, pivot {pivot}");
+                assert_eq!(
+                    col.map_err(|e| e.to_string()),
+                    row.map_err(|e| e.to_string()),
+                    "{at}"
+                );
+                assert_eq!(col_out, row_out, "{at}: sunk rows");
+                // Every tile before the poisoned one ran vectorized.
+                let batches = stats.snapshot().vectorized_batches as usize;
+                if pivot < 0 {
+                    assert_eq!(batches, rows.len().div_ceil(width), "{at}");
+                } else {
+                    assert_eq!(batches, 101 / width, "{at}");
+                }
+            }
+        }
     }
 }

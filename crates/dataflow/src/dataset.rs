@@ -1,6 +1,6 @@
 //! The partitioned [`Dataset`] and its operators, built over the lazy
-//! physical plan of [`crate::plan`] and executed by the context's
-//! pluggable [`Executor`](crate::Executor) backend.
+//! physical plan of [`crate::plan`] and executed by its plan-running
+//! functions.
 //!
 //! Rows are [`Value`]s. Keyed operators (`reduce_by_key`, `group_by_key`,
 //! `cogroup`, `join`, `merge`) expect rows shaped as `(key, value)` pairs —
@@ -16,7 +16,7 @@
 //! in two physical stages, with the reduction fused into the next
 //! scatter. Work happens at materialization points — shuffles,
 //! [`Dataset::collect`], [`Dataset::reduce`], [`Dataset::broadcast`] —
-//! where the executor fuses the pending chain into one physical
+//! where the engine fuses the pending chain into one physical
 //! per-partition stage. Results are deterministic and bit-identical to
 //! operator-at-a-time execution: a shuffle distributes rows by key hash,
 //! and output order within a partition follows (source partition, source
@@ -49,7 +49,6 @@ use std::sync::Arc;
 use diablo_runtime::{array::key_value, size::slice_size, RuntimeError, Value};
 
 use crate::exchange::{pair_key, HashPartitioner, Partitioner, RangePartitioner};
-use crate::executor::PhysicalPlan;
 use crate::plan::{self, PartFn, PlanOp};
 use crate::pool::run_stage;
 use crate::Context;
@@ -218,29 +217,20 @@ impl Dataset {
         self.ctx.statement_label()
     }
 
-    /// Executes the pending plan through the context's executor (fusing
-    /// the narrow chain into one physical stage per segment) and enters
-    /// the partitions into the context's dataset cache. A cache hit
-    /// skips execution; base data (`Scan` plans) bypasses the cache —
-    /// it is already materialized and the cache could only evict what
-    /// the plan holds anyway.
+    /// Executes the pending plan (fusing the narrow chain into one
+    /// physical stage per segment) and enters the partitions into the
+    /// context's dataset cache. A cache hit skips execution; base data
+    /// (`Scan` plans) bypasses the cache — it is already materialized and
+    /// the cache could only evict what the plan holds anyway.
     pub(crate) fn force(&self) -> Result<Arc<Vec<Vec<Value>>>> {
         if matches!(self.plan.as_ref(), PlanOp::Scan(_)) {
-            return Ok(self
-                .ctx
-                .executor()
-                .materialize(&self.ctx, &PhysicalPlan::new(self.plan.clone()))?
-                .into_arc());
+            return Ok(plan::materialize(&self.ctx, &self.plan)?.into_arc());
         }
         let cache = self.ctx.dataset_cache().clone();
         if let Some(p) = cache.get(self.slot.id(), &self.ctx)? {
             return Ok(p);
         }
-        let parts = self
-            .ctx
-            .executor()
-            .materialize(&self.ctx, &PhysicalPlan::new(self.plan.clone()))?
-            .into_arc();
+        let parts = plan::materialize(&self.ctx, &self.plan)?.into_arc();
         cache.insert(self.slot.id(), parts.clone(), &self.ctx)?;
         Ok(parts)
     }
@@ -292,31 +282,19 @@ impl Dataset {
     /// [`Dataset::try_collect`].
     pub fn count(&self) -> usize {
         if self.union_pending() {
-            // Count through the executor's segmented read: no operand is
-            // copied, no combined partitions are built.
-            let groups = self
-                .ctx
-                .executor()
-                .consume(
-                    &self.ctx,
-                    &PhysicalPlan::new(self.plan.clone()),
-                    "count (read in place)",
-                    &|_, rows| {
-                        let mut n = 0i64;
-                        rows.for_each(&mut |_| {
-                            n += 1;
-                            Ok(())
-                        })?;
-                        Ok(vec![vec![Value::Long(n)]])
-                    },
-                )
+            // Count through the segmented read: no operand is copied, no
+            // combined partitions are built.
+            let counts =
+                plan::consume(&self.ctx, &self.plan, "count (read in place)", |_, rows| {
+                    let mut n = 0usize;
+                    rows.for_each(&mut |_| {
+                        n += 1;
+                        Ok(())
+                    })?;
+                    Ok(n)
+                })
                 .expect("dataset materialization failed");
-            return groups
-                .into_iter()
-                .flatten()
-                .flatten()
-                .map(|v| v.as_long().unwrap_or(0) as usize)
-                .sum();
+            return counts.into_iter().sum();
         }
         self.force()
             .expect("dataset materialization failed")
@@ -346,26 +324,26 @@ impl Dataset {
     /// operator errors.
     ///
     /// A plan bottoming out in an unforced `union` is streamed straight
-    /// out of the executor's segmented read: each surviving row is cloned
+    /// out of the engine's segmented read: each surviving row is cloned
     /// exactly once, into the output — combined partitions are never
     /// built (and nothing is cached; the shared operands are re-read in
     /// place if collected again).
     pub fn try_collect(&self) -> Result<Vec<Value>> {
         if self.union_pending() {
-            let groups = self.ctx.executor().consume(
+            let parts = plan::consume(
                 &self.ctx,
-                &PhysicalPlan::new(self.plan.clone()),
+                &self.plan,
                 "collect (read in place)",
-                &|_, rows| {
+                |_, rows| {
                     let mut out = Vec::new();
                     rows.for_each(&mut |v| {
                         out.push(v);
                         Ok(())
                     })?;
-                    Ok(vec![out])
+                    Ok(out)
                 },
             )?;
-            return Ok(groups.into_iter().flatten().flatten().collect());
+            return Ok(parts.into_iter().flatten().collect());
         }
         let parts = self.force()?;
         let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
@@ -412,9 +390,9 @@ impl Dataset {
 
     /// Applies a **transparent** row expression to every row (lazy). The
     /// closure the engine runs is derived from `expr`, and the expression
-    /// itself rides the plan node — so the columnar backend can lower
-    /// this step to per-column inner loops while every other backend
-    /// executes it exactly like [`Dataset::map`].
+    /// itself rides the plan node — so the engine can lower this step to
+    /// per-column inner loops, with results exactly those of
+    /// [`Dataset::map`].
     pub fn map_expr(&self, expr: crate::RowExpr) -> Result<Dataset> {
         self.ctx.record_logical_op();
         let expr = Arc::new(expr);
@@ -496,7 +474,7 @@ impl Dataset {
     /// Bag union (no dedup), preserving the left side's partition count.
     ///
     /// Lazy and narrow: it moves no data, runs no parallel stage, and the
-    /// executor reads both operands in place via segments — including for
+    /// engine reads both operands in place via segments — including for
     /// a bare `collect`, which streams the rows without ever building
     /// combined partitions.
     pub fn union(&self, other: &Dataset) -> Dataset {
@@ -514,11 +492,11 @@ impl Dataset {
     {
         self.ctx.record_logical_op();
         let f = &f;
-        let partials = self.ctx.executor().consume(
+        let partials = plan::consume(
             &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
+            &self.effective_plan(),
             "reduce (partial fold)",
-            &|_, rows| {
+            |_, rows| {
                 let mut acc: Option<Value> = None;
                 rows.for_each(&mut |row| {
                     acc = Some(match acc.take() {
@@ -527,11 +505,11 @@ impl Dataset {
                     });
                     Ok(())
                 })?;
-                Ok(vec![acc.into_iter().collect()])
+                Ok(acc)
             },
         )?;
         let mut acc: Option<Value> = None;
-        for p in partials.into_iter().flatten().flatten() {
+        for p in partials.into_iter().flatten() {
             acc = Some(match acc {
                 None => p,
                 Some(a) => f(&a, &p)?,
@@ -542,15 +520,12 @@ impl Dataset {
 
     // ------------------------------------------------------------ shuffles
 
-    /// Hash-partitions `(key, value)` rows by key — the raw shuffle,
-    /// delegated to the executor. The scatter pass fuses the pending
-    /// narrow chain, so a chain ending in a shuffle costs exactly one pass
-    /// over the source rows. Returns per-destination buckets with
+    /// Hash-partitions `(key, value)` rows by key — the raw shuffle. The
+    /// scatter pass fuses the pending narrow chain, so a chain ending in a
+    /// shuffle costs exactly one pass over the source rows. Returns per-destination buckets with
     /// deterministic row order.
     fn shuffle(&self, label: &str) -> Result<Vec<Vec<Value>>> {
-        self.ctx
-            .executor()
-            .shuffle(&self.ctx, &PhysicalPlan::new(self.effective_plan()), label)
+        plan::shuffle_by(&self.ctx, &self.effective_plan(), label, &HashPartitioner)
     }
 
     /// Wraps gathered shuffle buckets in a lazy partition-wise stage: the
@@ -579,9 +554,9 @@ impl Dataset {
     /// globally sorted output.
     pub fn partition_by(&self, partitioner: &dyn crate::Partitioner) -> Result<Dataset> {
         self.ctx.record_logical_op();
-        let dest = self.ctx.executor().shuffle_by(
+        let dest = plan::shuffle_by(
             &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
+            &self.effective_plan(),
             "partition_by (scatter)",
             partitioner,
         )?;
@@ -607,16 +582,15 @@ impl Dataset {
         self.ctx.record_logical_op();
         let p = self.ctx.partitions();
         let f = Arc::new(f);
-        let exec = self.ctx.executor();
         let fc = &f;
         // Map-side combine, then stream the combined pairs straight into
         // the exchange sink: no all-partitions bucket matrix is ever
         // built, and buckets past the memory budget spill to disk.
-        let dest = exec.exchange(
+        let dest = plan::exchange(
             &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
+            &self.effective_plan(),
             "reduce_by_key (combine + scatter)",
-            &|_, rows, sink| {
+            |_, rows, sink| {
                 let mut acc: HashMap<Value, Value> = HashMap::new();
                 let mut order: Vec<Value> = Vec::new();
                 rows.for_each(&mut |row| {
@@ -867,52 +841,43 @@ impl Dataset {
         label: &str,
         combine: Option<CombineRef<'_>>,
     ) -> Result<Vec<Vec<Value>>> {
-        let groups = self.ctx.executor().consume(
-            &self.ctx,
-            &PhysicalPlan::new(self.effective_plan()),
-            label,
-            &|_, rows| {
-                let mut out: Vec<Value> = Vec::new();
-                match combine {
-                    Some(f) => {
-                        let mut acc: HashMap<Value, Value> = HashMap::new();
-                        rows.for_each(&mut |row| {
-                            let (k, v) = key_value(&row)?;
-                            match acc.get_mut(&k) {
-                                Some(cur) => *cur = f(cur, &v)?,
-                                None => {
-                                    acc.insert(k, v);
-                                }
+        plan::consume(&self.ctx, &self.effective_plan(), label, |_, rows| {
+            let mut out: Vec<Value> = Vec::new();
+            match combine {
+                Some(f) => {
+                    let mut acc: HashMap<Value, Value> = HashMap::new();
+                    rows.for_each(&mut |row| {
+                        let (k, v) = key_value(&row)?;
+                        match acc.get_mut(&k) {
+                            Some(cur) => *cur = f(cur, &v)?,
+                            None => {
+                                acc.insert(k, v);
                             }
-                            Ok(())
-                        })?;
-                        // Combined keys are unique, so the key sort below
-                        // fully determines the order — no need to track
-                        // first-seen order like the hash-path combiner.
-                        out.extend(acc.into_iter().map(|(k, v)| Value::pair(k, v)));
-                    }
-                    None => {
-                        rows.for_each(&mut |row| {
-                            key_value(&row)?;
-                            out.push(row);
-                            Ok(())
-                        })?;
-                    }
+                        }
+                        Ok(())
+                    })?;
+                    // Combined keys are unique, so the key sort below
+                    // fully determines the order — no need to track
+                    // first-seen order like the hash-path combiner.
+                    out.extend(acc.into_iter().map(|(k, v)| Value::pair(k, v)));
                 }
-                out.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
-                Ok(vec![out])
-            },
-        )?;
-        Ok(groups
-            .into_iter()
-            .map(|g| g.into_iter().flatten().collect())
-            .collect())
+                None => {
+                    rows.for_each(&mut |row| {
+                        key_value(&row)?;
+                        out.push(row);
+                        Ok(())
+                    })?;
+                }
+            }
+            out.sort_by(|a, b| pair_key(a).cmp(pair_key(b)));
+            Ok(out)
+        })
     }
 
     /// Range bounds sampled from key-sorted sources: up to 64 evenly
     /// spaced keys per source (quantile-ish, since the rows are sorted)
-    /// plus each source's maximum. Deterministic, so every backend and
-    /// budget derives identical bounds.
+    /// plus each source's maximum. Deterministic, so every engine setting
+    /// and budget derives identical bounds.
     fn sample_partitioner<'a>(
         sources: impl Iterator<Item = &'a Vec<Value>>,
         partitions: usize,
@@ -928,8 +893,7 @@ impl Dataset {
         RangePartitioner::from_sample(sample, partitions)
     }
 
-    /// Range-scatters key-sorted sources through the executor's
-    /// key-ordered exchange; the merged buckets come back globally
+    /// Range-scatters key-sorted sources through a key-ordered exchange; the merged buckets come back globally
     /// key-sorted and contiguous, so concatenating them in partition
     /// order yields totally key-ordered output.
     fn sorted_shuffle(
@@ -944,9 +908,7 @@ impl Dataset {
             partitioner.bounds().len(),
             self.ctx.partitions()
         ));
-        self.ctx
-            .executor()
-            .exchange_sorted(&self.ctx, sources, label, partitioner)
+        plan::exchange_sorted(&self.ctx, sources, partitioner)
     }
 
     /// Sort-based `reduceByKey`: combines values of equal keys like
@@ -1322,7 +1284,7 @@ mod tests {
     #[test]
     fn bare_union_collect_streams_without_combined_partitions() {
         // A bare collect of an unprocessed union reads both operands in
-        // place through the executor — one fused stage, rows streamed
+        // place — one fused stage, rows streamed
         // straight into the output.
         let ctx = ctx();
         let a = ctx.range(1, 100);

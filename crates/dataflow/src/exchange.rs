@@ -1,9 +1,6 @@
 //! The Exchange API: how rows move between partitions.
 //!
-//! A shuffle used to be two hardwired `Executor` methods — a scatter that
-//! hash-modded every key and a `gather` that concatenated every exchanged
-//! row through one in-memory `Vec<Vec<Vec<Value>>>`. This module makes the
-//! exchange a first-class, pluggable boundary:
+//! Every shuffle runs through this module's pluggable boundary:
 //!
 //! * a [`Partitioner`] decides which destination bucket a key belongs to
 //!   ([`HashPartitioner`] is the default; [`RangePartitioner`] keeps
@@ -787,22 +784,37 @@ impl ExchangeWriter<'_> {
 
 // ----------------------------------------------------------- row codec
 
+/// The deepest nesting of tuples, records and bags the row codec accepts.
+/// Shared by [`encode_value`] and [`decode_value`], so a spill file can
+/// never hold a value its reader refuses, and a hostile frame of deeply
+/// nested values is a clean error instead of a stack overflow.
+const MAX_VALUE_DEPTH: usize = 256;
+
 /// Binary row codec for spill runs. Exact round-trip for every [`Value`]
 /// shape (doubles travel as raw bits), so spilled rows come back
 /// bit-identical. Lengths that do not fit the u32 wire format (a single
-/// string or container past 4 GiB / 2³² elements) are a loud error, not
-/// a silent truncation.
+/// string or container past 4 GiB / 2³² elements) and containers nested
+/// more than 256 deep are a loud error, not a silent truncation.
 ///
 /// Public because the serve layer's wire protocol and the plan-hash
 /// cache key reuse the same canonical encoding — one codec, one notion
 /// of value identity across spill files, sockets, and cache keys.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
+    encode_at(v, out, 0)
+}
+
+fn encode_at(v: &Value, out: &mut Vec<u8>, depth: usize) -> Result<()> {
     fn put_len(out: &mut Vec<u8>, n: usize) -> Result<()> {
         let n = u32::try_from(n).map_err(|_| {
             RuntimeError::new("exchange spill: value length exceeds the u32 wire format")
         })?;
         out.extend_from_slice(&n.to_le_bytes());
         Ok(())
+    }
+    if depth >= MAX_VALUE_DEPTH && matches!(v, Value::Tuple(_) | Value::Record(_) | Value::Bag(_)) {
+        return Err(RuntimeError::new(format!(
+            "exchange spill: value nested deeper than {MAX_VALUE_DEPTH} levels"
+        )));
     }
     match v {
         Value::Unit => out.push(0),
@@ -827,7 +839,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
             out.push(5);
             put_len(out, fs.len())?;
             for f in fs.iter() {
-                encode_value(f, out)?;
+                encode_at(f, out, depth + 1)?;
             }
         }
         Value::Record(fields) => {
@@ -836,14 +848,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
             for (n, f) in fields.iter() {
                 put_len(out, n.len())?;
                 out.extend_from_slice(n.as_bytes());
-                encode_value(f, out)?;
+                encode_at(f, out, depth + 1)?;
             }
         }
         Value::Bag(items) => {
             out.push(7);
             put_len(out, items.len())?;
             for f in items.iter() {
-                encode_value(f, out)?;
+                encode_at(f, out, depth + 1)?;
             }
         }
     }
@@ -852,8 +864,13 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<()> {
 
 /// Inverse of [`encode_value`]: decodes one value from the front of
 /// `buf`, advancing it past the consumed bytes. Any truncated or
-/// malformed input is a `corrupt` error, never a panic.
+/// malformed input — including containers nested more than 256 deep —
+/// is a `corrupt` error, never a panic or a stack overflow.
 pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
+    decode_at(buf, 0)
+}
+
+fn decode_at(buf: &mut &[u8], depth: usize) -> Result<Value> {
     fn corrupt() -> RuntimeError {
         RuntimeError::new("corrupt exchange spill file")
     }
@@ -870,6 +887,9 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
     }
     let tag = *take(buf, 1)?.first().expect("1 byte");
+    if depth >= MAX_VALUE_DEPTH && matches!(tag, 5..=7) {
+        return Err(corrupt());
+    }
     Ok(match tag {
         0 => Value::Unit,
         1 => Value::Bool(take(buf, 1)?[0] != 0),
@@ -889,7 +909,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             // abort on a giant pre-allocation.
             let mut fs = Vec::with_capacity(n.min(buf.len()));
             for _ in 0..n {
-                fs.push(decode_value(buf)?);
+                fs.push(decode_at(buf, depth + 1)?);
             }
             Value::tuple(fs)
         }
@@ -901,7 +921,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
                 let name = std::str::from_utf8(take(buf, ln)?)
                     .map_err(|_| corrupt())?
                     .to_string();
-                fields.push((name, decode_value(buf)?));
+                fields.push((name, decode_at(buf, depth + 1)?));
             }
             Value::record(fields)
         }
@@ -909,7 +929,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             let n = take_len(buf)?;
             let mut items = Vec::with_capacity(n.min(buf.len()));
             for _ in 0..n {
-                items.push(decode_value(buf)?);
+                items.push(decode_at(buf, depth + 1)?);
             }
             Value::bag(items)
         }
@@ -928,6 +948,29 @@ mod tests {
         let back = decode_value(&mut cursor).unwrap();
         assert!(cursor.is_empty(), "codec consumed everything");
         back
+    }
+
+    fn nested(depth: usize) -> Value {
+        (0..depth).fold(Value::Long(1), |v, _| Value::tuple(vec![v]))
+    }
+
+    #[test]
+    fn codec_caps_nesting_depth_on_both_sides() {
+        let deepest = nested(MAX_VALUE_DEPTH);
+        assert_eq!(roundtrip(&deepest), deepest, "the cap itself round-trips");
+        // One level deeper: encoding refuses it cleanly…
+        let mut buf = Vec::new();
+        let err = encode_value(&nested(MAX_VALUE_DEPTH + 1), &mut buf).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        // …and hand-built bytes of any depth past it decode to `corrupt`,
+        // without recursing through them.
+        let mut buf = Vec::new();
+        for _ in 0..200_000 {
+            buf.extend_from_slice(&[5, 1, 0, 0, 0]);
+        }
+        encode_value(&Value::Long(1), &mut buf).unwrap();
+        let err = decode_value(&mut &buf[..]).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Spark's **lazy evaluation**: transformations build a plan; actions run
 //! it.
 //!
-//! ## Architecture: plan → fuse → execute (on a pluggable backend)
+//! ## Architecture: plan → fuse → execute
 //!
 //! * a [`Dataset`] is an immutable bag of rows split into hash partitions,
 //!   described by a lazy **physical plan** — a DAG of `PlanOp` nodes
@@ -14,18 +14,13 @@
 //!   by the operator methods without running anything;
 //! * *narrow* operations (`map`, `filter`, `flat_map`, `union`) append a
 //!   plan node and return immediately — no data moves, no threads run;
-//! * plan execution belongs to the context's [`Executor`] — a public
-//!   trait (`materialize`, `consume`, `shuffle`/`shuffle_by`, `exchange`,
-//!   plus name/capability introspection) with three built-ins:
-//!   [`LocalExecutor`] (tuple-at-a-time, default), [`TileExecutor`]
-//!   (tile/batch-at-a-time inner loops for §5 tiled-matrix workloads),
-//!   [`SpillExecutor`] (always-budgeted spilling exchanges plus
-//!   adaptive stage re-chunking, for inputs larger than RAM), and
-//!   [`ColumnarExecutor`] (typed column chunks with per-column inner
-//!   loops for transparent fused chains, row-path fallback per stage for
-//!   opaque UDFs — see `columnar.rs`).
-//!   Select one with [`Context::with_executor`], `DIABLO_BACKEND`, or
-//!   `diabloc --backend`; results are identical across backends;
+//! * one engine runs every plan, deciding each stage only from what it
+//!   can observe: a fused chain whose every step carries a [`RowExpr`]
+//!   runs over typed column chunks in 4096-row tiles (`columnar.rs`),
+//!   any other chain tuple-at-a-time; a narrow stage splits into morsels
+//!   for the work-stealing pool only when a partition exceeds
+//!   [`Context::morsel_size`]; every exchange buffers under
+//!   [`Context::memory_budget`]. Results never depend on any of it;
 //! * data crosses partitions only through the **Exchange API**: a
 //!   pluggable [`Partitioner`] picks each key's destination bucket, and a
 //!   streaming [`Exchange`] sink/reader pair moves rows under a memory
@@ -42,7 +37,7 @@
 //!   hash path's row multiset;
 //! * at every **materialization point** — a shuffle (`group_by_key`,
 //!   `reduce_by_key`, `cogroup`, `join`, the array-merge `⊳`), `collect`,
-//!   `reduce`, or `broadcast` — the executor **fuses** the pending narrow
+//!   `reduce`, or `broadcast` — the engine **fuses** the pending narrow
 //!   chain into a single closure and runs it once per partition on the
 //!   worker pool. A chain of N narrow operators costs one pass over the
 //!   source rows and allocates no per-operator intermediate `Vec`;
@@ -83,23 +78,17 @@ mod columnar;
 mod dataset;
 mod dscache;
 mod exchange;
-mod executor;
 mod plan;
 mod pool;
 mod stats;
 mod verify;
 
-pub use columnar::{ColumnarExecutor, RowExpr};
+pub use columnar::RowExpr;
 pub use dataset::Dataset;
 pub use exchange::{
     decode_value, encode_value, Exchange, ExchangeWriter, HashPartitioner, Partitioner,
     RangePartitioner,
 };
-pub use executor::{
-    executor_named, Capabilities, Executor, LocalExecutor, MorselExecutor, PartitionTask,
-    PhysicalPlan, ScatterTask, SpillExecutor, TileExecutor, BACKEND_NAMES,
-};
-pub use plan::{PartitionRows, Parts};
 pub use stats::{Stats, StatsSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -107,10 +96,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use diablo_runtime::Value;
 
-/// Handle to the engine: worker count, partition count, the execution
-/// backend, and run statistics.
+/// Handle to the engine: worker count, partition count, engine settings,
+/// and run statistics.
 ///
-/// Cheap to clone; all clones share the same statistics and backend.
+/// Cheap to clone; all clones share the same statistics and settings.
 #[derive(Clone)]
 pub struct Context {
     inner: Arc<ContextInner>,
@@ -119,12 +108,9 @@ pub struct Context {
 struct ContextInner {
     workers: usize,
     partitions: usize,
-    /// Shared so long-lived handles (e.g. a columnar `DriveMode` carried
-    /// inside plan partitions) can record without holding the context.
-    stats: Arc<Stats>,
+    stats: Stats,
     op_counter: AtomicUsize,
     plan_trace: Mutex<Option<Vec<String>>>,
-    executor: Mutex<Arc<dyn Executor>>,
     stmt_label: Mutex<Option<Arc<str>>>,
     /// Exchange memory budget in bytes; `u64::MAX` means unbounded.
     memory_budget: AtomicU64,
@@ -145,10 +131,7 @@ struct ContextInner {
 
 impl Context {
     /// Creates a context with `workers` threads and `partitions` hash
-    /// partitions per dataset. The execution backend defaults to
-    /// [`LocalExecutor`], overridable with the `DIABLO_BACKEND`
-    /// environment variable (`local`, `tile`, `spill`, `morsel`,
-    /// `columnar`) or [`Context::with_executor`].
+    /// partitions per dataset.
     pub fn new(workers: usize, partitions: usize) -> Context {
         assert!(workers > 0, "need at least one worker");
         assert!(partitions > 0, "need at least one partition");
@@ -156,10 +139,9 @@ impl Context {
             inner: Arc::new(ContextInner {
                 workers,
                 partitions,
-                stats: Arc::new(Stats::default()),
+                stats: Stats::default(),
                 op_counter: AtomicUsize::new(0),
                 plan_trace: Mutex::new(None),
-                executor: Mutex::new(executor::executor_from_env()),
                 stmt_label: Mutex::new(None),
                 memory_budget: AtomicU64::new(memory_budget_from_env()),
                 ordered: AtomicBool::new(ordered_from_env()),
@@ -192,24 +174,6 @@ impl Context {
     /// parallelism in benchmarks).
     pub fn sequential() -> Context {
         Context::new(1, 1)
-    }
-
-    /// Swaps the execution backend (builder style). Affects every clone of
-    /// this context; call it before building datasets so all stages run on
-    /// one backend.
-    pub fn with_executor(self, executor: Arc<dyn Executor>) -> Context {
-        self.set_executor(executor);
-        self
-    }
-
-    /// Swaps the execution backend in place.
-    pub fn set_executor(&self, executor: Arc<dyn Executor>) {
-        *self.inner.executor.lock().expect("executor lock") = executor;
-    }
-
-    /// The execution backend.
-    pub fn executor(&self) -> Arc<dyn Executor> {
-        self.inner.executor.lock().expect("executor lock").clone()
     }
 
     /// Caps the bytes of exchanged rows a shuffle may buffer in memory
@@ -293,8 +257,9 @@ impl Context {
         self.inner.ordered.load(Ordering::Relaxed)
     }
 
-    /// Sets the morsel size (builder style): the maximum rows one
-    /// scheduling item covers when a stage splits oversized partitions.
+    /// Sets the morsel size (builder style): a narrow stage splits a
+    /// partition into morsels of at most this many rows only when the
+    /// partition is larger; otherwise it runs one task per partition.
     /// Defaults to the `DIABLO_MORSEL_SIZE` environment variable, else
     /// 16384 rows. Scheduling granularity only — results never change.
     pub fn with_morsel_size(self, rows: usize) -> Context {
@@ -314,7 +279,8 @@ impl Context {
     }
 
     /// Routes stages to the retained pre-morsel scheduler (one task per
-    /// partition, no splitting or stealing) — the benchmark baseline.
+    /// partition: it never splits a partition into morsels, and never
+    /// steals) — the benchmark baseline.
     /// Defaults to the `DIABLO_SCHEDULER` environment variable
     /// (`morsel` / `static`), else the work-stealing pool.
     pub fn with_static_scheduler(self, on: bool) -> Context {
@@ -341,7 +307,7 @@ impl Context {
 
     /// A **tenant context**: a new context that shares this context's
     /// worker pool (and copies its shape and settings — workers,
-    /// partitions, executor, memory budget, ordered routing, morsel size,
+    /// partitions, memory budget, ordered routing, morsel size,
     /// scheduler) but owns fresh statistics, plan trace, and statement
     /// labels. This is the multi-tenant serving primitive: each request
     /// runs its session on a fork, so per-request statistics and
@@ -352,7 +318,6 @@ impl Context {
     /// inline on the submitting thread.)
     pub fn fork(&self) -> Context {
         let child = Context::new(self.workers(), self.partitions());
-        child.set_executor(self.executor());
         child.set_memory_budget(self.memory_budget());
         child.set_ordered(self.ordered());
         child.set_morsel_size(self.morsel_size());
@@ -400,22 +365,14 @@ impl Context {
         &self.inner.stats
     }
 
-    /// A shared handle to the run statistics — what the columnar drive
-    /// mode carries so vectorized-batch counts land on this context even
-    /// when recorded deep inside plan execution.
-    pub(crate) fn stats_arc(&self) -> Arc<Stats> {
-        self.inner.stats.clone()
-    }
-
     /// A statistics snapshot with the **effective context settings**
-    /// (backend, workers, partitions, morsel size, memory budget,
+    /// (workers, partitions, morsel size, memory budget, dataset budget,
     /// scheduler, ordered routing) filled in alongside the counters, so
     /// emitted benchmark rows are self-describing. [`Stats::snapshot`]
     /// alone leaves the settings at their empty defaults — it cannot see
     /// the context.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut snap = self.inner.stats.snapshot();
-        snap.backend = self.executor().name().to_string();
         snap.workers = self.workers() as u64;
         snap.partitions = self.partitions() as u64;
         snap.morsel_size = self.morsel_size() as u64;
@@ -437,10 +394,8 @@ impl Context {
         self.inner.stats.record_logical_op();
     }
 
-    /// Counts one physical per-partition pass. Public so [`Executor`]
-    /// implementations outside this crate can keep stage accounting
-    /// honest; not meant for application code.
-    pub fn record_physical_stage(&self) {
+    /// Counts one physical per-partition pass.
+    pub(crate) fn record_physical_stage(&self) {
         self.inner.stats.record_physical_stage();
     }
 

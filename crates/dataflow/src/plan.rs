@@ -1,12 +1,12 @@
 //! The lazy physical plan: a DAG of [`PlanOp`] nodes built by [`Dataset`]
-//! operators, plus the plan-walking machinery ([`collapse`], [`drive`],
-//! [`flatten_union`]) that the [`Executor`](crate::Executor)
-//! implementations share.
+//! operators, plus the engine that runs it — the plan-running functions
+//! [`materialize`], [`consume`], [`exchange`], [`exchange_sorted`] and
+//! [`shuffle_by`], plain functions over the [`Context`].
 //!
 //! Narrow operators (`map`, `filter`, `flat_map`, `union`,
 //! `map_partitions`) never run when called — they append a node to the
 //! plan. At a *materialization point* (a shuffle, `collect`, `reduce`,
-//! `broadcast`, `zip_partitions`) the executor collapses every pending
+//! `broadcast`, `zip_partitions`) the engine collapses every pending
 //! chain of row-level nodes into one [`Step`] list and runs it as a single
 //! physical stage per partition, feeding each transformed row into a sink
 //! without materializing any per-operator intermediate `Vec<Value>`.
@@ -25,18 +25,32 @@
 //! inside a tagged step is prefixed with its statement, so laziness never
 //! loses error locality.
 //!
-//! The executor is directional in the Cranelift optimization-rules sense:
+//! The engine decides each stage's execution only from what it can
+//! observe:
+//!
+//! * **layout** — a fused chain whose every step carries a [`RowExpr`]
+//!   runs through [`crate::columnar::drive_columnar`] in [`TILE_ROWS`]-row
+//!   tiles; any other chain runs tuple-at-a-time through [`drive`];
+//! * **scheduling** — a narrow stage splits into morsels only when a
+//!   partition exceeds [`Context::morsel_size`] rows; otherwise (and
+//!   always for consumers and partition-level functions) it runs one task
+//!   per partition;
+//! * **exchange budget** — every exchange buffers rows under
+//!   [`Context::memory_budget`], spilling past it.
+//!
+//! Execution is directional in the Cranelift optimization-rules sense:
 //! a fused plan performs *at most* the work of the eager pipeline it
 //! replaces — one pass, no intermediate allocations, one clone per
 //! surviving row — never more.
 //!
 //! [`Dataset`]: crate::Dataset
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use diablo_runtime::{RuntimeError, Value};
+use diablo_runtime::{array::key_value, RuntimeError, Value};
 
 use crate::columnar::RowExpr;
+use crate::exchange::{pair_key, Exchange, ExchangeWriter, Partitioner};
 use crate::pool::{run_stage_weighted, Cancel};
 use crate::stats::Stats;
 use crate::Context;
@@ -130,8 +144,8 @@ pub(crate) struct Step {
     pub op: StepOp,
     pub tag: Tag,
     /// The transparent column expression, when the step is
-    /// columnar-eligible; `None` marks an opaque UDF the columnar
-    /// backend demotes to the row path.
+    /// columnar-eligible; `None` marks an opaque UDF, which keeps its
+    /// chain on the row path.
     pub expr: Option<Arc<RowExpr>>,
 }
 
@@ -242,115 +256,6 @@ pub(crate) fn drive_owned(
     }
 }
 
-/// Drives a run of source rows through the chain **batch-at-a-time**: each
-/// tile of up to `batch` rows is pushed through one step at a time with a
-/// tight per-step inner loop, instead of recursing per row. Output rows,
-/// their order, and (for deterministic operators) the first error are
-/// identical to [`drive`]: when a batched step fails, the tile is replayed
-/// tuple-at-a-time so the error surfaces in canonical row order.
-pub(crate) fn drive_batch(
-    rows: &[Value],
-    steps: &[Step],
-    batch: usize,
-    sink: &mut dyn FnMut(Value) -> Result<()>,
-) -> Result<()> {
-    debug_assert!(batch > 0);
-    if steps.is_empty() {
-        for row in rows {
-            sink(row.clone())?;
-        }
-        return Ok(());
-    }
-    let (first, rest) = steps.split_first().expect("checked non-empty");
-    for tile in rows.chunks(batch) {
-        match seed_tile(tile, first).and_then(|buf| apply_steps_to_tile(buf, rest)) {
-            Ok(out) => {
-                for v in out {
-                    sink(v)?;
-                }
-            }
-            Err(batched) => {
-                // Replay this tile tuple-at-a-time into the REAL sink:
-                // nothing from a failed tile has been sunk yet, and the
-                // canonical first error may come from the consumer (the
-                // sink — e.g. a scatter's key check on an earlier row),
-                // not from the step that failed batched. Replaying for
-                // real reproduces exactly what tuple-at-a-time execution
-                // would have delivered and raised.
-                for row in tile {
-                    drive(row, steps, sink)?;
-                }
-                // Non-deterministic operator: the replay sailed through,
-                // so keep the batched error.
-                return Err(batched);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Builds the tile buffer by applying the FIRST step straight from the
-/// borrowed source rows — `map` allocates only its outputs, `filter`
-/// clones only survivors — so the batch path pays no upfront whole-tile
-/// clone (rows carrying dense tile payloads are exactly where that would
-/// hurt).
-fn seed_tile(tile: &[Value], first: &Step) -> Result<Vec<Value>> {
-    let mut buf = Vec::with_capacity(tile.len());
-    match &first.op {
-        StepOp::Map(f) => {
-            for v in tile {
-                buf.push(f(v).map_err(|e| first.tag_err(e))?);
-            }
-        }
-        StepOp::Filter(f) => {
-            for v in tile {
-                if f(v).map_err(|e| first.tag_err(e))? {
-                    buf.push(v.clone());
-                }
-            }
-        }
-        StepOp::FlatMap(f) => {
-            for v in tile {
-                buf.extend(f(v).map_err(|e| first.tag_err(e))?);
-            }
-        }
-    }
-    Ok(buf)
-}
-
-/// Applies every step to a whole tile with per-step inner loops.
-fn apply_steps_to_tile(mut buf: Vec<Value>, steps: &[Step]) -> Result<Vec<Value>> {
-    for s in steps {
-        match &s.op {
-            StepOp::Map(f) => {
-                for v in buf.iter_mut() {
-                    *v = f(v).map_err(|e| s.tag_err(e))?;
-                }
-            }
-            StepOp::Filter(f) => {
-                let mut kept = Vec::with_capacity(buf.len());
-                for v in buf {
-                    if f(&v).map_err(|e| s.tag_err(e))? {
-                        kept.push(v);
-                    }
-                }
-                buf = kept;
-            }
-            StepOp::FlatMap(f) => {
-                let mut expanded = Vec::with_capacity(buf.len());
-                for v in &buf {
-                    expanded.extend(f(v).map_err(|e| s.tag_err(e))?);
-                }
-                buf = expanded;
-            }
-        }
-        if buf.is_empty() {
-            break;
-        }
-    }
-    Ok(buf)
-}
-
 /// A plan collapsed to a base node plus the fused row steps above it.
 pub(crate) struct Collapsed {
     /// The deepest non-row node: `Scan`, `Cached`, `MapPartitions`, or
@@ -401,8 +306,9 @@ pub(crate) fn collapse(plan: &Arc<PlanOp>) -> Collapsed {
     Collapsed { base: cur, steps }
 }
 
-/// Executor output: shared when no work was needed, owned otherwise.
-pub enum Parts {
+/// Materialized partitions: shared when no work was needed, owned
+/// otherwise.
+pub(crate) enum Parts {
     /// Untouched materialized partitions (zero-copy).
     Shared(Arc<Vec<Vec<Value>>>),
     /// Freshly computed partitions.
@@ -425,119 +331,65 @@ impl Parts {
             Parts::Owned(p) => Arc::new(p),
         }
     }
+}
 
-    /// Converts into owned partitions, cloning only if still shared
-    /// elsewhere.
-    pub fn into_owned(self) -> Vec<Vec<Value>> {
-        match self {
-            Parts::Shared(p) => Arc::try_unwrap(p).unwrap_or_else(|p| p.as_ref().clone()),
-            Parts::Owned(p) => p,
+/// Rows per columnar tile: a fused chain whose every step carries a
+/// [`RowExpr`] runs through [`crate::columnar::drive_columnar`] in tiles
+/// of this many rows.
+pub(crate) const TILE_ROWS: usize = 4096;
+
+/// Pushes a run of source rows through a fused chain in the chain's
+/// layout: columnar tiles when every step is transparent (batches counted
+/// on `stats`), tuple-at-a-time otherwise. Rows, their order, and the
+/// first error are identical either way.
+fn run_chain(
+    stats: &Stats,
+    rows: &[Value],
+    steps: &[Step],
+    sink: &mut dyn FnMut(Value) -> Result<()>,
+) -> Result<()> {
+    if crate::columnar::eligible(steps) {
+        return crate::columnar::drive_columnar(rows, steps, TILE_ROWS, stats, sink);
+    }
+    for row in rows {
+        drive(row, steps, sink)?;
+    }
+    Ok(())
+}
+
+/// Notes a fused chain's layout in the plan trace and counts chains that
+/// run on the row path. Only chains with row steps are classified — a
+/// bare scan or consumer stage has nothing to vectorize.
+fn note_layout(ctx: &Context, steps: &[Step]) {
+    if steps.is_empty() {
+        return;
+    }
+    match steps.iter().find(|s| s.expr.is_none()) {
+        None => ctx.plan_note("  layout: columnar".to_string()),
+        Some(opaque) => {
+            ctx.stats().record_row_fallback_stage();
+            let why = match &opaque.tag {
+                Some(t) => format!("opaque {} from {t}", opaque.label()),
+                None => format!("opaque {}", opaque.label()),
+            };
+            ctx.plan_note(format!("  layout: row ({why})"));
         }
     }
 }
 
-/// How a stage's work maps onto pool tasks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ChunkPolicy {
-    /// One task per partition — the classic schedule.
-    Fixed,
-    /// Re-chunk at the stage boundary from observed per-partition row
-    /// counts, Spark-AQE style: split skewed partitions across several
-    /// tasks (narrow stages only — a partition-level function must see
-    /// its whole partition) and coalesce runs of tiny ones into a single
-    /// task. Scheduling only: partition boundaries, within-partition row
-    /// order, stage counts, and first errors are exactly those of
-    /// [`ChunkPolicy::Fixed`].
-    Adaptive,
-    /// Split every partition larger than [`Context::morsel_size`] rows
-    /// into fixed-size morsel spans (narrow stages only), regardless of
-    /// skew — the work-stealing pool's preferred granularity. Consumers
-    /// (partition-atomic) coalesce tiny partitions like
-    /// [`ChunkPolicy::Adaptive`]. Scheduling only: results and first
-    /// errors are exactly those of [`ChunkPolicy::Fixed`].
-    Morsel,
-}
+/// One morsel: the contiguous row span `(partition, start, end)`.
+type Span = (usize, usize, usize);
 
-/// One scheduling item: contiguous row spans `(partition, start, end)`,
-/// ordered by `(partition, start)`.
-type Spans = Vec<(usize, usize, usize)>;
-
-/// Plans adaptive work items over observed per-partition row counts.
-/// Returns `None` when the plan degenerates to one-task-per-partition
-/// (callers then keep the classic schedule and its zero overhead).
-fn chunk_plan(sizes: &[usize], workers: usize, splittable: bool) -> Option<Vec<Spans>> {
-    let total: usize = sizes.iter().sum();
-    // A single partition is the maximally skewed case — still worth
-    // splitting (when allowed); only an empty stage has nothing to plan.
-    if total == 0 {
-        return None;
-    }
-    // Aim for a few tasks per worker so self-scheduling can rebalance —
-    // but never chase chunks smaller than a floor: on tiny stages the
-    // per-task overhead (pool claim, result slot, output reassembly)
-    // would dwarf any balancing win, so small partitions coalesce and
-    // nothing splits. The floor shrinks with the worker count: a flat
-    // 4096 kept stages of a few thousand rows on one core no matter how
-    // wide the pool was (the flat small-input PageRank rows in the
-    // scaling bench), while 4096/workers still keeps per-task overhead
-    // amortized over at least 64 rows.
-    const MIN_TARGET_ROWS: usize = 4096;
-    let floor = (MIN_TARGET_ROWS / workers.max(1)).max(64);
-    let target = (total / (workers * 4).max(1)).max(floor);
-    let mut items: Vec<Spans> = Vec::new();
-    let mut group: Spans = Vec::new();
-    let mut group_rows = 0usize;
-    let mut changed = false;
-    let flush = |group: &mut Spans, items: &mut Vec<Spans>, changed: &mut bool| {
-        if !group.is_empty() {
-            *changed |= group.len() > 1;
-            items.push(std::mem::take(group));
-        }
-    };
-    for (p, &n) in sizes.iter().enumerate() {
-        if splittable && n > 2 * target {
-            // Skewed: split into ~target-row spans, each its own task.
-            flush(&mut group, &mut items, &mut changed);
-            group_rows = 0;
-            let pieces = n.div_ceil(target);
-            let chunk = n.div_ceil(pieces);
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                items.push(vec![(p, start, end)]);
-                start = end;
-            }
-            changed = true;
-        } else if n >= target {
-            // Big enough to be its own task: never lump it into a
-            // coalesce group (that would serialize it behind the tinies).
-            flush(&mut group, &mut items, &mut changed);
-            group_rows = 0;
-            items.push(vec![(p, 0, n)]);
-        } else {
-            group.push((p, 0, n));
-            group_rows += n;
-            if group_rows >= target {
-                flush(&mut group, &mut items, &mut changed);
-                group_rows = 0;
-            }
-        }
-    }
-    flush(&mut group, &mut items, &mut changed);
-    changed.then_some(items)
-}
-
-/// Plans morsel work items: every partition larger than `morsel` rows
-/// splits into even spans of at most `morsel` rows; smaller partitions
-/// stay whole (no coalescing — the work-stealing pool absorbs many small
-/// items cheaply). Returns `None` when nothing splits (or splitting is
-/// forbidden), so callers keep the classic zero-overhead schedule.
-fn morsel_plan(sizes: &[usize], morsel: usize, splittable: bool) -> Option<Vec<Spans>> {
+/// Plans a narrow stage's morsels: every partition larger than `morsel`
+/// rows splits into even spans of at most `morsel` rows; smaller
+/// partitions stay whole. Returns `None` when nothing splits, so the
+/// stage keeps one task per partition.
+fn morsel_plan(sizes: &[usize], morsel: usize) -> Option<Vec<Span>> {
     debug_assert!(morsel > 0);
-    if !splittable || !sizes.iter().any(|&n| n > morsel) {
+    if !sizes.iter().any(|&n| n > morsel) {
         return None;
     }
-    let mut items: Vec<Spans> = Vec::new();
+    let mut items = Vec::new();
     for (p, &n) in sizes.iter().enumerate() {
         if n > morsel {
             // Even spans: div_ceil pieces, so no runt morsel at the end.
@@ -546,121 +398,31 @@ fn morsel_plan(sizes: &[usize], morsel: usize, splittable: bool) -> Option<Vec<S
             let mut start = 0;
             while start < n {
                 let end = (start + chunk).min(n);
-                items.push(vec![(p, start, end)]);
+                items.push((p, start, end));
                 start = end;
             }
         } else {
-            items.push(vec![(p, 0, n)]);
+            items.push((p, 0, n));
         }
     }
     Some(items)
 }
 
-/// Total rows one spans-item covers — its scheduling weight.
-fn item_rows(spans: &Spans) -> u64 {
-    spans.iter().map(|&(_, s, e)| (e - s) as u64).sum()
-}
-
-/// Plans the stage's scheduling items for a *splittable* (narrow) or
-/// partition-atomic stage under `policy`, emitting the matching explain
-/// note. `None` keeps the classic one-task-per-partition schedule.
-fn stage_items(
-    ctx: &Context,
-    sizes: &[usize],
-    splittable: bool,
-    policy: ChunkPolicy,
-) -> Option<Vec<Spans>> {
-    match policy {
-        ChunkPolicy::Fixed => None,
-        ChunkPolicy::Adaptive => {
-            let items = chunk_plan(sizes, ctx.workers(), splittable)?;
-            ctx.plan_note(format!(
-                "adaptive: re-chunked {} partitions into {} tasks",
-                sizes.len(),
-                items.len()
-            ));
-            Some(items)
-        }
-        ChunkPolicy::Morsel => {
-            let items = morsel_plan(sizes, ctx.morsel_size(), splittable)
-                .or_else(|| chunk_plan(sizes, ctx.workers(), false))?;
-            ctx.plan_note(format!(
-                "morsel: scheduled {} partitions as {} item(s) (≤{} rows each)",
-                sizes.len(),
-                items.len(),
-                ctx.morsel_size()
-            ));
-            Some(items)
-        }
+/// A narrow stage's morsels under the context's settings: `None` (one
+/// task per partition) unless a partition exceeds
+/// [`Context::morsel_size`] rows. The static scheduler never splits.
+fn morsel_items(ctx: &Context, sizes: &[usize]) -> Option<Vec<Span>> {
+    if ctx.static_scheduler() {
+        return None;
     }
-}
-
-/// How an executor pushes rows through a fused step chain.
-#[derive(Clone, Debug)]
-pub(crate) enum DriveMode {
-    /// Tuple-at-a-time recursion ([`drive`]).
-    Tuple,
-    /// Tile-at-a-time inner loops of the given width ([`drive_batch`]).
-    Batch(usize),
-    /// Columnar tiles of the given width: eligible chains (every step
-    /// carries a [`RowExpr`]) run through typed per-column loops
-    /// ([`crate::columnar::drive_columnar`], counting batches on the
-    /// carried [`Stats`]); chains with an opaque step fall back to
-    /// tuple-at-a-time, per stage.
-    Columnar(usize, Arc<Stats>),
-}
-
-impl DriveMode {
-    fn run(
-        &self,
-        rows: &[Value],
-        steps: &[Step],
-        sink: &mut dyn FnMut(Value) -> Result<()>,
-    ) -> Result<()> {
-        match self {
-            DriveMode::Tuple => {
-                for row in rows {
-                    drive(row, steps, sink)?;
-                }
-                Ok(())
-            }
-            DriveMode::Batch(b) => drive_batch(rows, steps, *b, sink),
-            DriveMode::Columnar(b, stats) => {
-                if crate::columnar::eligible(steps) {
-                    crate::columnar::drive_columnar(rows, steps, *b, stats, sink)
-                } else {
-                    for row in rows {
-                        drive(row, steps, sink)?;
-                    }
-                    Ok(())
-                }
-            }
-        }
-    }
-}
-
-/// Notes a fused stage's execution layout in the plan trace when the
-/// engine runs columnar, and counts stages demoted to the row path. Only
-/// chains with row steps are classified — a bare scan or consumer stage
-/// has nothing to vectorize.
-fn note_layout(ctx: &Context, mode: &DriveMode, steps: &[Step]) {
-    let DriveMode::Columnar(_, stats) = mode else {
-        return;
-    };
-    if steps.is_empty() {
-        return;
-    }
-    match steps.iter().find(|s| s.expr.is_none()) {
-        None => ctx.plan_note("  layout: columnar".to_string()),
-        Some(opaque) => {
-            stats.record_row_fallback_stage();
-            let why = match &opaque.tag {
-                Some(t) => format!("opaque {} from {t}", opaque.label()),
-                None => format!("opaque {}", opaque.label()),
-            };
-            ctx.plan_note(format!("  layout: row ({why})"));
-        }
-    }
+    let items = morsel_plan(sizes, ctx.morsel_size())?;
+    ctx.plan_note(format!(
+        "morsel: scheduled {} partitions as {} item(s) (≤{} rows each)",
+        sizes.len(),
+        items.len(),
+        ctx.morsel_size()
+    ));
+    Some(items)
 }
 
 /// Resolves a `Cached` barrier to materialized partitions: a cache hit
@@ -671,87 +433,57 @@ fn resolve_cached(
     ctx: &Context,
     slot: &Arc<crate::dscache::CacheSlot>,
     inner: &Arc<PlanOp>,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<Arc<Vec<Vec<Value>>>> {
     let cache = slot.cache();
     if let Some(parts) = cache.get(slot.id(), ctx)? {
         return Ok(parts);
     }
-    let parts = materialize_with(ctx, inner, &[], mode, policy)?.into_arc();
+    let parts = materialize_with(ctx, inner, &[])?.into_arc();
     cache.insert(slot.id(), parts.clone(), ctx)?;
     Ok(parts)
 }
 
+/// The materialized partitions behind a `Scan` base, or behind a `Cached`
+/// one (resolved through the dataset cache); `None` for any other node.
+fn read_scan(ctx: &Context, base: &PlanOp) -> Result<Option<Arc<Vec<Vec<Value>>>>> {
+    Ok(match base {
+        PlanOp::Scan(parts) => Some(parts.clone()),
+        PlanOp::Cached(slot, inner) => Some(resolve_cached(ctx, slot, inner)?),
+        _ => None,
+    })
+}
+
 /// Materializes a plan into partitions, fusing every narrow chain into one
 /// physical stage per `Scan`/`Cached`/`MapPartitions`/`Union` segment.
-pub(crate) fn materialize(
-    ctx: &Context,
-    plan: &Arc<PlanOp>,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
-) -> Result<Parts> {
+/// Output partition `i` holds the transformed rows of input partition `i`
+/// in source order.
+pub(crate) fn materialize(ctx: &Context, plan: &Arc<PlanOp>) -> Result<Parts> {
     crate::verify::verify_plan(plan)?;
-    materialize_with(ctx, plan, &[], mode, policy)
+    materialize_with(ctx, plan, &[])
 }
 
 /// [`materialize`] with extra steps appended after the plan's own rows —
 /// how steps above a `Union` are pushed down into both branches.
-fn materialize_with(
-    ctx: &Context,
-    plan: &Arc<PlanOp>,
-    extra: &[Step],
-    mode: &DriveMode,
-    policy: ChunkPolicy,
-) -> Result<Parts> {
+fn materialize_with(ctx: &Context, plan: &Arc<PlanOp>, extra: &[Step]) -> Result<Parts> {
     let Collapsed { base, steps } = collapse(plan);
     let mut all = steps;
     all.extend(extra.iter().cloned());
+    if let Some(parts) = read_scan(ctx, &base)? {
+        if all.is_empty() {
+            return Ok(Parts::Shared(parts));
+        }
+        let out = run_fused_stage(ctx, &parts, None, &all, "materialize")?;
+        return Ok(Parts::Owned(out));
+    }
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            if all.is_empty() {
-                return Ok(Parts::Shared(parts.clone()));
-            }
-            let out = run_fused_stage(
-                ctx,
-                parts,
-                None,
-                &all,
-                parts.len(),
-                "materialize",
-                mode,
-                policy,
-            )?;
-            Ok(Parts::Owned(out))
-        }
-        PlanOp::Cached(slot, inner) => {
-            let parts = resolve_cached(ctx, slot, inner, mode, policy)?;
-            if all.is_empty() {
-                return Ok(Parts::Shared(parts));
-            }
-            let out = run_fused_stage(
-                ctx,
-                &parts,
-                None,
-                &all,
-                parts.len(),
-                "materialize",
-                mode,
-                policy,
-            )?;
-            Ok(Parts::Owned(out))
-        }
         PlanOp::MapPartitions(input, f, label, tag) => {
-            let inp = materialize(ctx, input, mode, policy)?;
+            let inp = materialize(ctx, input)?;
             let out = run_fused_stage(
                 ctx,
                 inp.as_slice(),
                 Some((f.clone(), label, tag.clone())),
                 &all,
-                inp.as_slice().len(),
                 "materialize",
-                mode,
-                policy,
             )?;
             Ok(Parts::Owned(out))
         }
@@ -763,7 +495,7 @@ fn materialize_with(
             // partitions first.
             let mut sources: Vec<(Parts, Vec<Step>)> = Vec::new();
             let mut virt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, &base, &all, &mut sources, &mut virt, mode, policy)?;
+            flatten_union(ctx, &base, &all, &mut sources, &mut virt)?;
             ctx.record_physical_stage();
             let stage = ctx.stats().snapshot().physical_stages;
             ctx.plan_note(format!(
@@ -771,6 +503,7 @@ fn materialize_with(
                 sources.len(),
                 virt.len()
             ));
+            let stats = ctx.stats();
             let out = run_stage_weighted(
                 ctx,
                 &virt,
@@ -784,7 +517,8 @@ fn materialize_with(
                     let mut part = Vec::new();
                     let mut sink = cancellable_sink(cancel, |v| part.push(v));
                     for &(src, p) in segs {
-                        mode.run(&sources[src].0.as_slice()[p], &sources[src].1, &mut sink)?;
+                        let (rows, steps) = (&sources[src].0.as_slice()[p], &sources[src].1);
+                        run_chain(stats, rows, steps, &mut sink)?;
                     }
                     drop(sink);
                     Ok(part)
@@ -800,64 +534,54 @@ fn materialize_with(
 /// Runs one fused physical stage: per partition, optionally apply a
 /// partition-level function, then drive every row through `steps`.
 ///
-/// Under [`ChunkPolicy::Adaptive`] the stage's work is re-chunked from the
-/// observed partition sizes — skewed partitions split across tasks (only
-/// when there is no partition-level prelude, which must see its whole
-/// partition), tiny ones coalesced — and the outputs reassembled on the
-/// original partition boundaries, so results are byte-identical to the
-/// fixed schedule.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// A bare narrow chain (no partition-level prelude, which must see its
+/// whole partition) splits into morsels when a partition exceeds
+/// [`Context::morsel_size`]; the outputs are reassembled on the original
+/// partition boundaries, so results are byte-identical to one task per
+/// partition.
+#[allow(clippy::type_complexity)]
 fn run_fused_stage(
     ctx: &Context,
     input: &[Vec<Value>],
     prelude: Option<(PartFn, &'static str, Tag)>,
     steps: &[Step],
-    parts: usize,
     label: &str,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<Vec<Vec<Value>>> {
     ctx.record_physical_stage();
     ctx.plan_note(describe_stage(
         ctx,
-        parts,
+        input.len(),
         prelude.as_ref().map(|(_, l, t)| (*l, t.clone())),
         steps,
         label,
     ));
-    note_layout(ctx, mode, steps);
+    note_layout(ctx, steps);
+    let stats = ctx.stats();
     let prelude = prelude.map(|(f, _, tag)| (f, tag));
     let sizes: Vec<usize> = input.iter().map(Vec::len).collect();
-    if let Some(items) = stage_items(ctx, &sizes, prelude.is_none(), policy) {
+    let morsels = if prelude.is_none() {
+        morsel_items(ctx, &sizes)
+    } else {
+        None
+    };
+    if let Some(items) = morsels {
         let outs = run_stage_weighted(
             ctx,
             &items,
-            |i| item_rows(&items[i]),
-            |_, spans: &Spans, cancel| {
-                let mut produced: Vec<(usize, Vec<Value>)> = Vec::with_capacity(spans.len());
-                for &(p, start, end) in spans {
-                    let mut out = Vec::new();
-                    let mut sink = cancellable_sink(cancel, |v| out.push(v));
-                    match &prelude {
-                        Some((f, tag)) => {
-                            let rows = f(&input[p]).map_err(|e| tag_opt(e, tag))?;
-                            mode.run(&rows, steps, &mut sink)?;
-                        }
-                        None => mode.run(&input[p][start..end], steps, &mut sink)?,
-                    }
-                    drop(sink);
-                    produced.push((p, out));
-                }
-                Ok(produced)
+            |i| (items[i].2 - items[i].1) as u64,
+            |_, &(p, start, end): &Span, cancel| {
+                let mut out = Vec::new();
+                let mut sink = cancellable_sink(cancel, |v| out.push(v));
+                run_chain(stats, &input[p][start..end], steps, &mut sink)?;
+                drop(sink);
+                Ok((p, out))
             },
         )?;
-        // Items are ordered by (partition, start), so extending in
-        // item order rebuilds each partition in source order.
+        // Items are ordered by (partition, start), so extending in item
+        // order rebuilds each partition in source order.
         let mut dest: Vec<Vec<Value>> = input.iter().map(|_| Vec::new()).collect();
-        for item in outs {
-            for (p, rows) in item {
-                dest[p].extend(rows);
-            }
+        for (p, rows) in outs {
+            dest[p].extend(rows);
         }
         return Ok(dest);
     }
@@ -871,9 +595,9 @@ fn run_fused_stage(
             match &prelude {
                 Some((f, tag)) => {
                     let rows = f(part).map_err(|e| tag_opt(e, tag))?;
-                    mode.run(&rows, steps, &mut sink)?;
+                    run_chain(stats, &rows, steps, &mut sink)?;
                 }
-                None => mode.run(part, steps, &mut sink)?,
+                None => run_chain(stats, part, steps, &mut sink)?,
             }
             drop(sink);
             Ok(out)
@@ -881,37 +605,21 @@ fn run_fused_stage(
     )
 }
 
-/// Runs a consumer once per partition, on the classic
-/// one-task-per-partition schedule (`items` = `None`) or with runs of
-/// tiny partitions coalesced into shared tasks. Either way the results
-/// come back in partition order and the first error follows partition
-/// order (items are partition-ordered; within an item, sequential).
-fn run_consumer_stage<R: Send>(
+/// Runs a consumer once per partition — consumer tasks are atomic per
+/// partition (a scatter may carry partition-wide state, e.g. a
+/// combiner's hash map), so they never split. Results come back in
+/// partition order and the first error follows partition order.
+fn per_partition<R: Send>(
     ctx: &Context,
-    sizes: &[usize],
-    items: Option<Vec<Spans>>,
+    parts: &[Vec<Value>],
     run_one: impl Fn(usize) -> Result<R> + Sync,
 ) -> Result<Vec<R>> {
-    match items {
-        Some(items) => {
-            let outs = run_stage_weighted(
-                ctx,
-                &items,
-                |i| item_rows(&items[i]),
-                |_, spans: &Spans, _| {
-                    spans
-                        .iter()
-                        .map(|&(p, _, _)| run_one(p))
-                        .collect::<Result<Vec<R>>>()
-                },
-            )?;
-            Ok(outs.into_iter().flatten().collect())
-        }
-        None => {
-            let idx: Vec<usize> = (0..sizes.len()).collect();
-            run_stage_weighted(ctx, &idx, |i| sizes[i] as u64, |_, &p, _| run_one(p))
-        }
-    }
+    run_stage_weighted(
+        ctx,
+        parts,
+        |i| parts[i].len() as u64,
+        |p, _: &Vec<Value>, _| run_one(p),
+    )
 }
 
 /// Runs `task` once per partition over the plan's *transformed* rows, in
@@ -926,8 +634,6 @@ pub(crate) fn consume<R, F>(
     ctx: &Context,
     plan: &Arc<PlanOp>,
     label: &str,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
     task: F,
 ) -> Result<Vec<R>>
 where
@@ -935,54 +641,17 @@ where
     F: Fn(usize, &PartitionRows<'_>) -> Result<R> + Sync,
 {
     crate::verify::verify_plan(plan)?;
-    // Consumer tasks are atomic per partition (a scatter may carry
-    // partition-wide state, e.g. a combiner's hash map), so adaptive
-    // scheduling can only coalesce runs of tiny partitions into one task,
-    // never split — results and first errors are unchanged.
-    let coalesce = |_parts_len: usize, sizes: &[usize]| -> Option<Vec<Spans>> {
-        stage_items(ctx, sizes, false, policy)
-    };
+    let stats = ctx.stats();
     let Collapsed { base, steps } = collapse(plan);
+    if let Some(parts) = read_scan(ctx, &base)? {
+        ctx.record_physical_stage();
+        ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
+        note_layout(ctx, &steps);
+        return per_partition(ctx, &parts, |p| {
+            task(p, &PartitionRows::single(&parts[p], &steps, stats))
+        });
+    }
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            ctx.record_physical_stage();
-            ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
-            note_layout(ctx, mode, &steps);
-            let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-            let items = coalesce(parts.len(), &sizes);
-            run_consumer_stage(ctx, &sizes, items, |p| {
-                task(
-                    p,
-                    &PartitionRows {
-                        segments: vec![Segment {
-                            rows: &parts[p],
-                            steps: &steps,
-                        }],
-                        mode: mode.clone(),
-                    },
-                )
-            })
-        }
-        PlanOp::Cached(slot, inner) => {
-            let parts = resolve_cached(ctx, slot, inner, mode, policy)?;
-            ctx.record_physical_stage();
-            ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
-            note_layout(ctx, mode, &steps);
-            let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-            let items = coalesce(parts.len(), &sizes);
-            run_consumer_stage(ctx, &sizes, items, |p| {
-                task(
-                    p,
-                    &PartitionRows {
-                        segments: vec![Segment {
-                            rows: &parts[p],
-                            steps: &steps,
-                        }],
-                        mode: mode.clone(),
-                    },
-                )
-            })
-        }
         PlanOp::MapPartitions(input, f, plabel, tag) => {
             // Shuffle-read fusion: when the prelude's input is already
             // materialized (a scan — e.g. gathered shuffle buckets — or a
@@ -990,13 +659,7 @@ where
             // partition-level function, the fused chain above it, and the
             // consumer all run in ONE stage.
             let inner = collapse(input);
-            let scanned: Option<Arc<Vec<Vec<Value>>>> = match inner.base.as_ref() {
-                PlanOp::Scan(parts) => Some(parts.clone()),
-                PlanOp::Cached(slot, ip) => Some(resolve_cached(ctx, slot, ip, mode, policy)?),
-                _ => None,
-            };
-            if let Some(parts) = scanned {
-                let parts = parts.as_ref();
+            if let Some(parts) = read_scan(ctx, &inner.base)? {
                 ctx.record_physical_stage();
                 ctx.plan_note(describe_stage(
                     ctx,
@@ -1007,8 +670,8 @@ where
                 ));
                 // Both fused chains of this stage get a layout verdict:
                 // the one feeding the prelude and the one above it.
-                note_layout(ctx, mode, &inner.steps);
-                note_layout(ctx, mode, &steps);
+                note_layout(ctx, &inner.steps);
+                note_layout(ctx, &steps);
                 let lower = &inner.steps;
                 // Steps below the prelude feed it a materialized Vec.
                 let feed = |part: &[Value]| -> Result<Vec<Value>> {
@@ -1020,49 +683,24 @@ where
                             buf.push(v);
                             Ok(())
                         };
-                        mode.run(part, lower, &mut sink)?;
+                        run_chain(stats, part, lower, &mut sink)?;
                         f(&buf).map_err(|e| tag_opt(e, tag))
                     }
                 };
-                let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-                let items = coalesce(parts.len(), &sizes);
-                return run_consumer_stage(ctx, &sizes, items, |p| {
+                return per_partition(ctx, &parts, |p| {
                     let fed = feed(&parts[p])?;
-                    task(
-                        p,
-                        &PartitionRows {
-                            segments: vec![Segment {
-                                rows: &fed,
-                                steps: &steps,
-                            }],
-                            mode: mode.clone(),
-                        },
-                    )
+                    task(p, &PartitionRows::single(&fed, &steps, stats))
                 });
             }
             // Deep prelude (its input is itself unforced): materialize it
             // (fusing inside), then run the consumer as one more stage.
-            let inp = materialize_with(ctx, &base, &steps, mode, policy)?;
+            let inp = materialize_with(ctx, &base, &steps)?;
             let parts = inp.as_slice();
             ctx.record_physical_stage();
             ctx.plan_note(describe_stage(ctx, parts.len(), None, &[], label));
-            run_stage_weighted(
-                ctx,
-                parts,
-                |i| parts[i].len() as u64,
-                |i, part: &Vec<Value>, _| {
-                    task(
-                        i,
-                        &PartitionRows {
-                            segments: vec![Segment {
-                                rows: part,
-                                steps: &[],
-                            }],
-                            mode: mode.clone(),
-                        },
-                    )
-                },
-            )
+            per_partition(ctx, parts, |p| {
+                task(p, &PartitionRows::single(&parts[p], &[], stats))
+            })
         }
         PlanOp::Union(_, _) => {
             // Read all operands in place: each virtual partition is a
@@ -1071,7 +709,7 @@ where
             // own fused step chain. No operand is copied.
             let mut sources: Vec<(Parts, Vec<Step>)> = Vec::new();
             let mut virt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, &base, &steps, &mut sources, &mut virt, mode, policy)?;
+            flatten_union(ctx, &base, &steps, &mut sources, &mut virt)?;
             ctx.record_physical_stage();
             let stage = ctx.stats().snapshot().physical_stages;
             ctx.plan_note(format!(
@@ -1096,13 +734,7 @@ where
                             steps: &sources[src].1,
                         })
                         .collect();
-                    task(
-                        i,
-                        &PartitionRows {
-                            segments,
-                            mode: mode.clone(),
-                        },
-                    )
+                    task(i, &PartitionRows { segments, stats })
                 },
             )
         }
@@ -1111,48 +743,109 @@ where
     }
 }
 
+/// Partitions `(key, value)` rows by key with `partitioner`: streams each
+/// source partition's transformed rows into the exchange sink, the bucket
+/// chosen per key.
+pub(crate) fn shuffle_by(
+    ctx: &Context,
+    plan: &Arc<PlanOp>,
+    label: &str,
+    partitioner: &dyn Partitioner,
+) -> Result<Vec<Vec<Value>>> {
+    let p = ctx.partitions();
+    exchange(ctx, plan, label, |_, rows, sink| {
+        rows.for_each(&mut |row| {
+            let (k, _) = key_value(&row)?;
+            sink.emit(partitioner.partition(&k, p)?, row)
+        })
+    })
+}
+
+/// The exchange under every shuffle: runs `scatter` once per source
+/// partition over the plan's *transformed* rows, streaming emitted rows
+/// through an [`Exchange`] bounded by [`Context::memory_budget`] (buckets
+/// past the budget spill to sorted run files), and merge-reads the
+/// destination partitions back in source order.
+pub(crate) fn exchange<F>(
+    ctx: &Context,
+    plan: &Arc<PlanOp>,
+    label: &str,
+    scatter: F,
+) -> Result<Vec<Vec<Value>>>
+where
+    F: Fn(usize, &PartitionRows<'_>, &mut ExchangeWriter<'_>) -> Result<()> + Sync,
+{
+    let ex = Exchange::new(ctx.partitions(), ctx.memory_budget());
+    consume(ctx, plan, label, |src, rows| {
+        let mut writer = ex.writer(src);
+        scatter(src, rows, &mut writer)?;
+        writer.close()
+    })?;
+    ex.finish(ctx)
+}
+
+/// The sort-based shuffle: streams already key-sorted source partitions
+/// through a **key-ordered** [`Exchange`] (same budget as [`exchange`];
+/// chunks past it spill as sorted runs and merge straight from disk),
+/// scattered with `partitioner` — a
+/// [`RangePartitioner`](crate::RangePartitioner) keeps ordered keys in
+/// contiguous buckets, so the merged buckets concatenate into globally
+/// key-ordered output.
+pub(crate) fn exchange_sorted(
+    ctx: &Context,
+    sources: Vec<Vec<Value>>,
+    partitioner: &dyn Partitioner,
+) -> Result<Vec<Vec<Value>>> {
+    let p = ctx.partitions();
+    let ex = Exchange::new_ordered(p, ctx.memory_budget());
+    // Scatter sources in parallel like every other exchange: writers are
+    // independent, chunks are tagged (source, sequence), and the ordered
+    // merge breaks key ties by that tag, so the result is independent of
+    // worker interleaving. Each task owns exactly its source partition
+    // (taken out of the slot), so rows move into the sink without a clone.
+    let slots: Vec<Mutex<Vec<Value>>> = sources.into_iter().map(Mutex::new).collect();
+    crate::pool::run_stage(ctx, &slots, |src, slot| {
+        let rows = std::mem::take(&mut *slot.lock().expect("source slot"));
+        let mut writer = ex.writer(src);
+        for row in rows {
+            writer.emit(partitioner.partition(pair_key(&row), p)?, row)?;
+        }
+        writer.close()
+    })?;
+    ex.finish(ctx)
+}
+
 /// Flattens a tree of `Union` nodes into shared sources plus virtual
 /// partitions (lists of `(source, partition)` indices), pushing the fused
 /// steps above each branch down into its segments. The right operand's
 /// partitions fold into the left's by index modulo the left's partition
 /// count — the same composition the eager engine produced by extending
 /// partition vectors, but without moving a row.
-#[allow(clippy::too_many_arguments)]
 fn flatten_union(
     ctx: &Context,
     plan: &Arc<PlanOp>,
     extra: &[Step],
     sources: &mut Vec<(Parts, Vec<Step>)>,
     virt: &mut Vec<Vec<(usize, usize)>>,
-    mode: &DriveMode,
-    policy: ChunkPolicy,
 ) -> Result<()> {
     let Collapsed { base, steps } = collapse(plan);
     let mut all = steps;
     all.extend(extra.iter().cloned());
+    // A cached operand reads in place like a scan once resolved.
+    if let Some(parts) = read_scan(ctx, &base)? {
+        let src = sources.len();
+        let n = parts.len();
+        sources.push((Parts::Shared(parts), all));
+        virt.extend((0..n).map(|p| vec![(src, p)]));
+        return Ok(());
+    }
     match base.as_ref() {
-        PlanOp::Scan(parts) => {
-            let src = sources.len();
-            let n = parts.len();
-            sources.push((Parts::Shared(parts.clone()), all));
-            virt.extend((0..n).map(|p| vec![(src, p)]));
-            Ok(())
-        }
-        PlanOp::Cached(slot, inner) => {
-            // A cached operand reads in place like a scan once resolved.
-            let parts = resolve_cached(ctx, slot, inner, mode, policy)?;
-            let src = sources.len();
-            let n = parts.len();
-            sources.push((Parts::Shared(parts), all));
-            virt.extend((0..n).map(|p| vec![(src, p)]));
-            Ok(())
-        }
         PlanOp::Union(l, r) => {
             let start = virt.len();
-            flatten_union(ctx, l, &all, sources, virt, mode, policy)?;
+            flatten_union(ctx, l, &all, sources, virt)?;
             let n = virt.len() - start;
             let mut rvirt: Vec<Vec<(usize, usize)>> = Vec::new();
-            flatten_union(ctx, r, &all, sources, &mut rvirt, mode, policy)?;
+            flatten_union(ctx, r, &all, sources, &mut rvirt)?;
             if n == 0 {
                 virt.extend(rvirt);
             } else {
@@ -1164,7 +857,7 @@ fn flatten_union(
         }
         _ => {
             // MapPartitions under a union: materialize just this branch.
-            let parts = materialize_with(ctx, &base, &all, mode, policy)?;
+            let parts = materialize_with(ctx, &base, &all)?;
             let src = sources.len();
             let n = parts.as_slice().len();
             sources.push((parts, Vec::new()));
@@ -1180,18 +873,26 @@ struct Segment<'a> {
     steps: &'a [Step],
 }
 
-/// The rows of one (possibly union-composed) partition, as presented to an
-/// executor's partition-wise consumer.
-pub struct PartitionRows<'a> {
+/// The rows of one (possibly union-composed) partition, as presented to a
+/// partition-wise consumer.
+pub(crate) struct PartitionRows<'a> {
     segments: Vec<Segment<'a>>,
-    mode: DriveMode,
+    stats: &'a Stats,
 }
 
-impl PartitionRows<'_> {
+impl<'a> PartitionRows<'a> {
+    /// One run of rows with its fused chain.
+    fn single(rows: &'a [Value], steps: &'a [Step], stats: &'a Stats) -> PartitionRows<'a> {
+        PartitionRows {
+            segments: vec![Segment { rows, steps }],
+            stats,
+        }
+    }
+
     /// Feeds every transformed row to `sink`, segment by segment.
-    pub fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
+    pub(crate) fn for_each(&self, sink: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
         for seg in &self.segments {
-            self.mode.run(seg.rows, seg.steps, sink)?;
+            run_chain(self.stats, seg.rows, seg.steps, sink)?;
         }
         Ok(())
     }
@@ -1285,128 +986,66 @@ pub(crate) fn render(plan: &Arc<PlanOp>, indent: usize, out: &mut String) {
 mod tests {
     use super::*;
 
-    fn covered_rows(items: &[Spans], sizes: &[usize]) -> Vec<usize> {
+    fn covered_rows(items: &[Span], sizes: &[usize]) -> Vec<usize> {
         // Rows covered per partition, also checking span contiguity/order.
         let mut covered = vec![0usize; sizes.len()];
         let mut last: Option<(usize, usize)> = None;
-        for item in items {
-            for &(p, start, end) in item {
-                if let Some((lp, lend)) = last {
-                    assert!(
-                        p > lp || (p == lp && start == lend),
-                        "spans ordered by (partition, start) and contiguous"
-                    );
-                }
-                covered[p] += end - start;
-                last = Some((p, end));
+        for &(p, start, end) in items {
+            if let Some((lp, lend)) = last {
+                assert!(
+                    p > lp || (p == lp && start == lend),
+                    "spans ordered by (partition, start) and contiguous"
+                );
             }
+            covered[p] += end - start;
+            last = Some((p, end));
         }
         covered
     }
 
     #[test]
-    fn balanced_partitions_keep_the_fixed_schedule() {
-        assert!(chunk_plan(&[100_000, 100_000, 100_000, 100_000], 2, true).is_none());
-        assert!(chunk_plan(&[], 4, true).is_none());
-        assert!(chunk_plan(&[0, 0, 0], 4, true).is_none(), "nothing to do");
-    }
-
-    #[test]
-    fn tiny_stages_coalesce_instead_of_splitting() {
-        // Below the target floor nothing splits — per-task overhead would
-        // dwarf the work — and the tiny partitions share one task.
-        let sizes = [4, 4, 4, 4, 4];
-        let items = chunk_plan(&sizes, 3, true).expect("coalesces");
-        assert_eq!(items.len(), 1, "one task for a trivial stage");
-        for &(_, start, _) in &items[0] {
-            assert_eq!(start, 0, "no splits below the floor");
-        }
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-    }
-
-    #[test]
-    fn skewed_partition_splits_into_ordered_spans() {
-        let sizes = [10_000, 10, 10];
-        let items = chunk_plan(&sizes, 2, true).expect("re-chunks");
-        assert!(items.len() > 3, "the skewed partition fans out");
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-    }
-
-    #[test]
-    fn a_single_giant_partition_still_splits() {
-        // The maximally skewed case: one partition, many workers.
-        let sizes = [100_000];
-        let items = chunk_plan(&sizes, 8, true).expect("re-chunks");
-        assert!(items.len() >= 8, "all workers get a span: {}", items.len());
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-        // Unsplittable (consumer/prelude) single partitions stay fixed.
-        assert!(chunk_plan(&sizes, 8, false).is_none());
-    }
-
-    #[test]
-    fn small_stage_still_splits_across_a_wide_pool() {
-        // 3000 rows is under the old flat 4096-row floor, which kept the
-        // whole stage on one core; with the floor scaled by worker count
-        // (4096/8 = 512) the stage fans out across the pool.
-        let sizes = [3000];
-        let items = chunk_plan(&sizes, 8, true).expect("re-chunks");
-        assert!(items.len() >= 4, "small stage fans out: {}", items.len());
-        assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
-        // The floor never chases sub-64-row chunks: a truly tiny stage
-        // still coalesces instead of splitting.
-        let tiny = [40, 40];
-        let items = chunk_plan(&tiny, 64, true).expect("coalesces");
-        assert_eq!(items.len(), 1);
-    }
-
-    #[test]
     fn morsel_plan_splits_only_oversized_partitions() {
         let sizes = [100, 10, 250];
-        let items = morsel_plan(&sizes, 100, true).expect("partition 2 splits");
+        let items = morsel_plan(&sizes, 100).expect("partition 2 splits");
         assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
         // Partition 2 (250 rows, morsel 100) → 3 even spans of ≤ 100.
-        let p2: Vec<_> = items
-            .iter()
-            .flatten()
-            .filter(|&&(p, _, _)| p == 2)
-            .collect();
+        let p2: Vec<_> = items.iter().filter(|&&(p, _, _)| p == 2).collect();
         assert_eq!(p2.len(), 3);
         assert!(p2.iter().all(|&&(_, s, e)| e - s <= 100));
         // Partitions at or below the morsel size stay whole.
-        assert!(items
-            .iter()
-            .flatten()
-            .any(|&(p, s, e)| (p, s, e) == (0, 0, 100)));
+        assert!(items.contains(&(0, 0, 100)));
     }
 
     #[test]
     fn morsel_plan_is_none_when_nothing_splits() {
-        assert!(morsel_plan(&[10, 20, 30], 100, true).is_none());
-        assert!(morsel_plan(&[], 100, true).is_none());
-        assert!(
-            morsel_plan(&[1000], 100, false).is_none(),
-            "partition-atomic stages never split"
-        );
+        assert!(morsel_plan(&[10, 20, 30], 100).is_none());
+        assert!(morsel_plan(&[], 100).is_none());
+        assert!(morsel_plan(&[0, 0, 0], 1).is_none(), "nothing to do");
     }
 
     #[test]
     fn morsel_size_one_isolates_every_row() {
         let sizes = [3, 1];
-        let items = morsel_plan(&sizes, 1, true).expect("splits");
+        let items = morsel_plan(&sizes, 1).expect("splits");
         assert_eq!(items.len(), 4);
         assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
     }
 
     #[test]
-    fn tiny_partitions_coalesce_without_splitting_when_forbidden() {
-        let sizes = [5, 5, 5, 5, 5, 5, 5, 5, 4000];
-        let items = chunk_plan(&sizes, 2, false).expect("re-chunks");
-        assert!(items.len() < sizes.len(), "tiny partitions coalesced");
-        for item in &items {
-            for &(p, start, end) in item {
-                assert_eq!((start, end), (0, sizes[p]), "whole partitions only");
-            }
-        }
+    fn tiny_partitions_keep_their_own_tasks() {
+        // No coalescing: each small partition stays its own task next to
+        // the split one, so small stages still spread across workers.
+        let sizes = [5, 5, 5, 4000];
+        let items = morsel_plan(&sizes, 1000).expect("partition 3 splits");
+        assert_eq!(items.len(), 3 + 4);
         assert_eq!(covered_rows(&items, &sizes), sizes.to_vec());
+    }
+
+    #[test]
+    fn static_scheduler_never_splits() {
+        let ctx = Context::new(2, 2).with_morsel_size(4);
+        assert!(morsel_items(&ctx, &[100, 3]).is_some());
+        ctx.set_static_scheduler(true);
+        assert!(morsel_items(&ctx, &[100, 3]).is_none());
     }
 }

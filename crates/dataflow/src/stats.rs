@@ -15,7 +15,7 @@
 //!   operators a program *called*. This is the shape of the translated
 //!   program, independent of execution strategy.
 //! * **physical stages** ([`StatsSnapshot::physical_stages`]) — how many
-//!   parallel per-partition passes the executor actually *ran* after
+//!   parallel per-partition passes the engine actually *ran* after
 //!   fusing narrow chains. A chain of N narrow ops contributes N logical
 //!   ops but exactly 1 physical stage.
 
@@ -117,13 +117,13 @@ impl Stats {
     }
 
     /// Records one column batch executed through the vectorized per-column
-    /// loops (columnar backend only).
+    /// loops.
     pub(crate) fn record_vectorized_batch(&self) {
         self.vectorized_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one fused stage the columnar backend had to run on the
-    /// tuple-at-a-time row path because a step was opaque.
+    /// Records one fused chain the engine ran on the tuple-at-a-time row
+    /// path because a step was opaque.
     pub(crate) fn record_row_fallback_stage(&self) {
         self.row_fallback_stages.fetch_add(1, Ordering::Relaxed);
     }
@@ -131,7 +131,6 @@ impl Stats {
     /// Takes a point-in-time snapshot of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            backend: String::new(),
             workers: 0,
             partitions: 0,
             morsel_size: 0,
@@ -195,12 +194,9 @@ impl Stats {
 /// settings** that produced the counters. The settings fields default to
 /// empty here and are filled by `Context::stats_snapshot`, which can see
 /// the context; they make emitted `BENCH_*.json` rows self-describing
-/// (a number without its backend/budget/scheduler is unreproducible).
+/// (a number without its workers/budget/scheduler is unreproducible).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Executor backend name (`local`, `tile`, `spill`, `morsel`); empty
-    /// when the snapshot came from bare [`Stats::snapshot`].
-    pub backend: String,
     /// Worker-thread count of the owning context (0 when unknown).
     pub workers: u64,
     /// Partition count of the owning context (0 when unknown).
@@ -217,9 +213,9 @@ pub struct StatsSnapshot {
     pub ordered: bool,
     /// Number of logical `Dataset` operator invocations (historically
     /// named `stages`; each operator call counts one regardless of how the
-    /// executor fuses it).
+    /// engine fuses it).
     pub stages: u64,
-    /// Number of physical per-partition passes the executor ran — a fused
+    /// Number of physical per-partition passes the engine ran — a fused
     /// chain of narrow operators counts one.
     pub physical_stages: u64,
     /// Number of shuffle exchanges.
@@ -267,11 +263,10 @@ pub struct StatsSnapshot {
     pub dataset_evictions: u64,
     /// Evicted datasets re-derived from their plan lineage on a miss.
     pub dataset_recomputes: u64,
-    /// Column batches executed through the vectorized per-column loops
-    /// (the `columnar` backend; other backends leave this at zero).
+    /// Column batches executed through the vectorized per-column loops.
     pub vectorized_batches: u64,
-    /// Fused stages the columnar backend demoted to the tuple-at-a-time
-    /// row path because a step carried no column expression (opaque UDF).
+    /// Fused chains the engine ran on the tuple-at-a-time row path
+    /// because a step carried no column expression (opaque UDF).
     pub row_fallback_stages: u64,
 }
 
@@ -294,7 +289,6 @@ impl StatsSnapshot {
     /// (a delta ran under the same effective configuration).
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
-            backend: self.backend.clone(),
             workers: self.workers,
             partitions: self.partitions,
             morsel_size: self.morsel_size,

@@ -87,7 +87,7 @@ pub mod codes {
     /// Lint: affine subscript provably out of bounds for a constant range.
     pub const BOUNDS: &str = "D024";
     /// Lint: an opaque expression forces a columnar-eligible fused chain
-    /// back to tuple-at-a-time execution under the columnar backend.
+    /// back to tuple-at-a-time execution.
     pub const ROW_FALLBACK: &str = "D025";
 }
 

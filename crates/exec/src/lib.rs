@@ -192,10 +192,7 @@ impl Session {
             Some(b) => format!(", memory budget {b} B"),
             None => String::new(),
         };
-        let mut out = format!(
-            "physical plan (executed on `{}` backend, narrow chains fused{budget}):\n",
-            self.ctx.executor().name()
-        );
+        let mut out = format!("physical plan (narrow chains fused{budget}):\n");
         for l in &lines {
             if l.starts_with("==") {
                 out.push_str(l);

@@ -276,8 +276,8 @@ pub fn agg_col_name(idx: usize) -> String {
 ///
 /// `Record` construction, bag aggregations, and the slow
 /// nested-comprehension path have no columnar interpretation and return
-/// `None` — the stage keeps its opaque closure and the columnar backend
-/// demotes it to tuple-at-a-time.
+/// `None` — the stage keeps its opaque closure and the engine runs it
+/// tuple-at-a-time.
 pub fn to_row_expr(r: &RExpr) -> Option<RowExpr> {
     match r {
         RExpr::Col(i) => Some(RowExpr::Col(*i)),

@@ -3,8 +3,8 @@
 //!
 //! One [`Server`] owns one **base engine context**. Every `Run` request
 //! executes on a [`Context::fork`] of it — a tenant context that shares
-//! the parent's morsel worker pool and effective settings (backend,
-//! memory budget, ordered routing) but has private statistics and
+//! the parent's morsel worker pool and effective settings (memory
+//! budget, ordered routing, morsel size) but has private statistics and
 //! statement labels, so concurrent requests never interleave each
 //! other's `sN:var` error tags. Named datasets registered with
 //! `BindDataset` are held once as `Arc`ed partitions; every request

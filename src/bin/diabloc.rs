@@ -10,7 +10,6 @@
 //! diabloc interp  <program.dbl> [bindings]  # execute with the sequential interpreter
 //! diabloc explain <program.dbl> [bindings]  # print the executed physical plan
 //! diabloc run --explain <program.dbl> ...   # same as `explain`
-//! diabloc run --backend spill <program.dbl> # pick the execution backend
 //! diabloc run --workers 8 --partitions 32 --memory-budget 1048576 ...
 //! diabloc run --ordered <program.dbl>       # sort-based (key-ordered) shuffles
 //! ```
@@ -28,16 +27,6 @@
 //!
 //! Engine flags (for `run` and `explain` only):
 //!
-//! * `--backend <name>` selects the execution backend: `local`
-//!   (tuple-at-a-time, the default), `tile` (batch-at-a-time, tuned for
-//!   tiled-matrix workloads), `spill` (budgeted exchanges that spill
-//!   to disk, plus adaptive stage re-chunking), `morsel` (narrow
-//!   stages split into fixed-size morsels for the work-stealing pool),
-//!   or `columnar` (transparent fused chains lowered to typed column
-//!   chunks and run batch-at-a-time, with per-stage row fallback for
-//!   opaque UDFs; `DIABLO_COLUMNAR_BATCH` sizes the batch).
-//!   Results are identical across backends; only the execution strategy
-//!   changes.
 //! * `--workers N` / `--partitions N` size the engine context (default:
 //!   one worker per core, two partitions per worker).
 //! * `--memory-budget BYTES` caps the bytes a shuffle buffers in memory;
@@ -48,9 +37,10 @@
 //!   the disk ledger, recompute from their plan on the next read
 //!   (equivalent to `DIABLO_DATASET_BUDGET`). `0` disables dataset
 //!   caching. Results never change.
-//! * `--morsel-size ROWS` sets the scheduling granularity stages split
-//!   oversized partitions into (equivalent to `DIABLO_MORSEL_SIZE`;
-//!   default 16384 rows). Scheduling only — results never change.
+//! * `--morsel-size ROWS` sets the morsel size: a narrow stage splits a
+//!   partition larger than this many rows into morsels for the
+//!   work-stealing pool (equivalent to `DIABLO_MORSEL_SIZE`; default
+//!   16384 rows). Scheduling only — results never change.
 //! * `--ordered` routes keyed operators through the sort-based shuffle
 //!   path (equivalent to `DIABLO_ORDERED=1`): outputs are globally
 //!   key-ordered — same rows as the hash path, in key order.
@@ -101,7 +91,6 @@ fn main() -> ExitCode {
 /// The engine-shaping flags of `run` and `explain`.
 #[derive(Default)]
 struct EngineFlags {
-    backend: Option<String>,
     workers: Option<usize>,
     partitions: Option<usize>,
     memory_budget: Option<u64>,
@@ -114,7 +103,7 @@ struct EngineFlags {
 }
 
 impl EngineFlags {
-    /// Pulls `--backend`, `--workers`, `--partitions`, `--memory-budget`,
+    /// Pulls `--workers`, `--partitions`, `--memory-budget`,
     /// `--dataset-budget`, `--morsel-size` (each as `--flag value` or
     /// `--flag=value`), and the bare `--ordered` out of the argument
     /// list.
@@ -143,9 +132,7 @@ impl EngineFlags {
                 }
                 Ok(None)
             };
-            if let Some(name) = take_value("--backend")? {
-                flags.backend = Some(name);
-            } else if let Some(n) = take_value("--workers")? {
+            if let Some(n) = take_value("--workers")? {
                 flags.workers = Some(parse_count("--workers", &n)?);
             } else if let Some(n) = take_value("--partitions")? {
                 flags.partitions = Some(parse_count("--partitions", &n)?);
@@ -173,8 +160,7 @@ impl EngineFlags {
     /// True when any engine flag was given (they only apply to commands
     /// that build an engine context).
     fn any(&self) -> bool {
-        self.backend.is_some()
-            || self.workers.is_some()
+        self.workers.is_some()
             || self.partitions.is_some()
             || self.memory_budget.is_some()
             || self.dataset_budget.is_some()
@@ -184,7 +170,7 @@ impl EngineFlags {
     }
 
     /// Builds the engine context these flags describe.
-    fn context(&self) -> Result<Context, String> {
+    fn context(&self) -> Context {
         let ctx = Context::sized(self.workers, self.partitions);
         if let Some(budget) = self.memory_budget {
             ctx.set_memory_budget(Some(budget));
@@ -198,18 +184,7 @@ impl EngineFlags {
         if self.ordered {
             ctx.set_ordered(true);
         }
-        match &self.backend {
-            None => Ok(ctx),
-            Some(name) => {
-                let exec = diablo_dataflow::executor_named(name).ok_or_else(|| {
-                    format!(
-                        "unknown backend `{name}` (try {})",
-                        diablo_dataflow::BACKEND_NAMES.join(", ")
-                    )
-                })?;
-                Ok(ctx.with_executor(exec))
-            }
-        }
+        ctx
     }
 }
 
@@ -240,7 +215,7 @@ fn run(
     };
     if engine.any() && !matches!(cmd, "run" | "explain") {
         return Err(format!(
-            "--backend/--workers/--partitions/--memory-budget/--dataset-budget/--morsel-size/--ordered/--connect only apply to `run` and `explain`, not `{cmd}`"
+            "--workers/--partitions/--memory-budget/--dataset-budget/--morsel-size/--ordered/--connect only apply to `run` and `explain`, not `{cmd}`"
         ));
     }
     if json_flag && !matches!(cmd, "check" | "lint") {
@@ -286,8 +261,7 @@ fn run(
         }
         "run" => {
             if let Some(addr) = &engine.connect {
-                if engine.backend.is_some()
-                    || engine.workers.is_some()
+                if engine.workers.is_some()
                     || engine.partitions.is_some()
                     || engine.memory_budget.is_some()
                     || engine.dataset_budget.is_some()
@@ -302,7 +276,7 @@ fn run(
                 return run_remote(addr, &source, rest);
             }
             let (_, compiled) = front_end(&source, path, false)?;
-            let mut session = Session::new(engine.context()?);
+            let mut session = Session::new(engine.context());
             for binding in rest {
                 let (name, value) = parse_binding(binding)?;
                 match value {
@@ -316,7 +290,7 @@ fn run(
         }
         "explain" => {
             let (_, compiled) = front_end(&source, path, false)?;
-            let mut session = Session::new(engine.context()?);
+            let mut session = Session::new(engine.context());
             for binding in rest {
                 let (name, value) = parse_binding(binding)?;
                 match value {
@@ -363,7 +337,7 @@ fn run(
     }
 }
 
-const USAGE: &str = "usage: diabloc <check|lint|show|run|interp|explain> [--explain] [--json] [--backend <local|tile|spill|morsel|columnar>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--morsel-size ROWS] [--ordered] [--connect ADDR] <program.dbl> [name=value | name=@rows.csv ...]";
+const USAGE: &str = "usage: diabloc <check|lint|show|run|interp|explain> [--explain] [--json] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--morsel-size ROWS] [--ordered] [--connect ADDR] <program.dbl> [name=value | name=@rows.csv ...]";
 
 /// Renders accumulated front-end diagnostics — rustc-style caret snippets
 /// on stderr, or the stable JSON document on stdout under `--json` — and

@@ -22,8 +22,8 @@
 //! * `--cache-budget BYTES` — result-cache byte budget, 0 disables
 //!   caching (`DIABLO_SERVE_CACHE_BUDGET`, default 64 MiB).
 //!
-//! Engine flags mirror `diabloc run`: `--backend <local|tile|spill|morsel>`,
-//! `--workers N`, `--partitions N`, `--memory-budget BYTES`,
+//! Engine flags mirror `diabloc run`: `--workers N`, `--partitions N`,
+//! `--memory-budget BYTES`,
 //! `--dataset-budget BYTES` (one shared dataset cache across all
 //! tenants — materialized datasets past the budget demote to disk and
 //! recompute when dropped), `--morsel-size ROWS`, `--ordered` (each
@@ -40,7 +40,7 @@ use std::time::Duration;
 use diablo_dataflow::Context;
 use diablo_serve::{ServeConfig, Server};
 
-const USAGE: &str = "usage: diablod [--listen ADDR|unix:/path] [--backend <local|tile|spill|morsel>] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--morsel-size ROWS] [--ordered] [--max-inflight N] [--queue-deadline-ms MS] [--cache-budget BYTES]";
+const USAGE: &str = "usage: diablod [--listen ADDR|unix:/path] [--workers N] [--partitions N] [--memory-budget BYTES] [--dataset-budget BYTES] [--morsel-size ROWS] [--ordered] [--max-inflight N] [--queue-deadline-ms MS] [--cache-budget BYTES]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -94,7 +94,6 @@ fn serve(mut args: Vec<String>) -> Result<(), String> {
 
     let listen = flag_or_env(&mut args, "--listen", "DIABLO_SERVE_LISTEN")?
         .unwrap_or_else(|| "127.0.0.1:7716".to_string());
-    let backend = take_flag(&mut args, "--backend")?;
     let workers = take_flag(&mut args, "--workers")?
         .map(|v| parse_num::<usize>("--workers", &v))
         .transpose()?;
@@ -142,18 +141,6 @@ fn serve(mut args: Vec<String>) -> Result<(), String> {
     if ordered {
         ctx.set_ordered(true);
     }
-    let ctx = match backend {
-        None => ctx,
-        Some(name) => {
-            let exec = diablo_dataflow::executor_named(&name).ok_or_else(|| {
-                format!(
-                    "unknown backend `{name}` (try {})",
-                    diablo_dataflow::BACKEND_NAMES.join(", ")
-                )
-            })?;
-            ctx.with_executor(exec)
-        }
-    };
 
     let server = Server::start(&listen, ctx, cfg).map_err(|e| format!("{listen}: {e}"))?;
     // The single readiness line wrappers wait for; flushed immediately

@@ -189,55 +189,6 @@ fn usage_errors_are_reported() {
 }
 
 #[test]
-fn backend_flag_selects_executor_and_outputs_match() {
-    let p = write_temp(
-        "wc_backend.dbl",
-        "input words: vector[string];
-         var C: map[string, long] = map();
-         for w in words do C[w] += 1;",
-    );
-    let csv = write_temp("wc_backend.csv", "0,a\n1,b\n2,a\n3,c\n4,a\n");
-    let run = |args: &[&str]| {
-        let mut cmd = diabloc();
-        for a in args {
-            cmd.arg(a);
-        }
-        let out = cmd
-            .arg(&p)
-            .arg(format!("words=@{}", csv.display()))
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let local = run(&["run"]);
-    let tile = run(&["run", "--backend", "tile"]);
-    let tile_eq = run(&["run", "--backend=tile"]);
-    assert_eq!(local, tile, "backends must produce byte-identical output");
-    assert_eq!(tile, tile_eq);
-    let spill = run(&["run", "--backend", "spill"]);
-    assert_eq!(local, spill, "spill backend must match local byte-for-byte");
-    // Even with a zero budget — every exchanged bucket through disk.
-    let spill0 = run(&["run", "--backend", "spill", "--memory-budget", "0"]);
-    assert_eq!(local, spill0, "fully spilled run must match local");
-    // explain names the backend it executed on.
-    let out = diabloc()
-        .arg("explain")
-        .arg("--backend")
-        .arg("tile")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("`tile` backend"), "{text}");
-}
-
-#[test]
 fn ordered_flag_runs_sorted_shuffles() {
     let p = write_temp(
         "wc_ordered.dbl",
@@ -303,38 +254,6 @@ fn ordered_flag_runs_sorted_shuffles() {
 }
 
 #[test]
-fn backend_flag_rejects_unknown_names_and_wrong_commands() {
-    let p = write_temp("backend_err.dbl", "var k: long = 0;");
-    let out = diabloc()
-        .arg("run")
-        .arg("--backend")
-        .arg("spark")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(stderr.contains("unknown backend"), "{stderr}");
-    assert!(
-        stderr.contains("local, tile, spill"),
-        "the error must list every valid backend: {stderr}"
-    );
-    let out = diabloc()
-        .arg("check")
-        .arg("--backend")
-        .arg("tile")
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("only apply to `run` and `explain`"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
 fn engine_shape_flags_apply_to_run_and_are_rejected_elsewhere() {
     let p = write_temp(
         "shape.dbl",
@@ -371,8 +290,7 @@ fn engine_shape_flags_apply_to_run_and_are_rejected_elsewhere() {
         String::from_utf8_lossy(&shaped.stdout),
         "context shape and spilling must not change results"
     );
-    // Engine flags are rejected for commands that run no engine, exactly
-    // like --backend.
+    // Engine flags are rejected for commands that run no engine.
     for (cmd, flag) in [
         ("check", "--workers=2"),
         ("show", "--partitions=4"),
@@ -492,8 +410,8 @@ fn diablod_serves_runs_identical_to_local_diabloc() {
         .arg("run")
         .arg("--connect")
         .arg(&addr)
-        .arg("--backend")
-        .arg("tile")
+        .arg("--workers")
+        .arg("2")
         .arg(&program)
         .output()
         .unwrap();
@@ -523,13 +441,13 @@ fn diablod_rejects_bad_flags_before_binding() {
         String::from_utf8_lossy(&out.stderr)
     );
     let out = Command::new(env!("CARGO_BIN_EXE_diablod"))
-        .arg("--backend")
-        .arg("spark")
+        .arg("--morsel-size")
+        .arg("many")
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown backend"),
+        String::from_utf8_lossy(&out.stderr).contains("is not a valid value"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );

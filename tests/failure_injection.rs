@@ -1,13 +1,11 @@
 //! Failure-path tests: bad programs, bad inputs, and runtime faults must
 //! surface as errors (never panics), on both execution paths.
 
-use std::sync::Arc;
+mod common;
 
+use common::{legs, map_step};
 use diablo_core::compile;
-use diablo_dataflow::{
-    ColumnarExecutor, Context, Executor, LocalExecutor, MorselExecutor, RowExpr, SpillExecutor,
-    TileExecutor,
-};
+use diablo_dataflow::{Context, RowExpr};
 use diablo_exec::Session;
 use diablo_interp::Interpreter;
 use diablo_lang::{parse, typecheck};
@@ -157,32 +155,16 @@ fn while_loop_that_never_runs() {
     assert_eq!(session.scalar("body_ran"), Some(Value::Long(0)));
 }
 
-/// The built-in backends (tile with a tiny batch so tile replay paths
-/// run; spill with a zero fallback budget so every exchanged chunk goes
-/// through disk runs; morsel so injected failures also race the
-/// work-stealing splitter; columnar with a tiny batch so the opaque
-/// closures here exercise its per-stage row fallback).
-fn sorted_failure_backends() -> Vec<Arc<dyn Executor>> {
-    vec![
-        Arc::new(LocalExecutor),
-        Arc::new(TileExecutor::new(4)),
-        Arc::new(SpillExecutor::new(0)),
-        Arc::new(MorselExecutor),
-        Arc::new(ColumnarExecutor::new(16)),
-    ]
-}
-
 #[test]
 fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
     // A UDF that fails inside the fused chain feeding the keyed operator
     // (the sort side of the sorted path) must surface the identical first
     // error — message and statement tag — as the hash path's scatter, on
-    // every backend.
-    for exec in sorted_failure_backends() {
-        let name = exec.name();
+    // every engine-settings leg.
+    for leg in legs() {
+        let name = leg.name();
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = Context::new(3, 6).with_executor(exec.clone());
-            ctx.set_memory_budget(None);
+            let ctx = leg.apply(Context::new(3, 6));
             ctx.set_statement_label(Some("s4: C := poisoned map"));
             let d = ctx
                 .from_vec((0..300).map(Value::Long).collect())
@@ -206,12 +188,12 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_sort() {
         let sorted = run(true);
         assert_eq!(
             sorted.message, hash.message,
-            "backend `{name}`: sorted path changed the first error"
+            "leg `{name}`: sorted path changed the first error"
         );
         assert!(sorted.message.contains("boom mid-sort"), "{sorted}");
         assert!(
             sorted.message.contains("s4: C := poisoned map"),
-            "backend `{name}`: statement tag lost on the sorted path: {sorted}"
+            "leg `{name}`: statement tag lost on the sorted path: {sorted}"
         );
     }
 }
@@ -222,12 +204,11 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
     // side of the sorted path). The poisoned key appears once per source
     // partition, so neither path's map-side combine ever touches it — the
     // failure happens only while merging the shuffled bucket — and both
-    // paths must report the same tagged error on every backend.
-    for exec in sorted_failure_backends() {
-        let name = exec.name();
+    // paths must report the same tagged error on every leg.
+    for leg in legs() {
+        let name = leg.name();
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = Context::new(3, 6).with_executor(exec.clone());
-            ctx.set_memory_budget(None);
+            let ctx = leg.apply(Context::new(3, 6));
             // 60 rows chunk into 6 partitions of 10; key 5 sits at one
             // index per partition (i % 10 == 0 → key 5).
             let rows: Vec<Value> = (0..60)
@@ -261,12 +242,12 @@ fn sorted_path_surfaces_the_hash_paths_error_mid_merge() {
         let sorted = run(true);
         assert_eq!(
             sorted.message, hash.message,
-            "backend `{name}`: sorted merge changed the first error"
+            "leg `{name}`: sorted merge changed the first error"
         );
         assert!(sorted.message.contains("boom mid-merge"), "{sorted}");
         assert!(
             sorted.message.contains("s9: C := poisoned combine"),
-            "backend `{name}`: statement tag lost in the sorted merge: {sorted}"
+            "leg `{name}`: statement tag lost in the sorted merge: {sorted}"
         );
     }
 }
@@ -276,11 +257,10 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
     // The ordered exchange's pair check fires in canonical row order, so
     // the sorted path reports the same malformed-row error the hash
     // scatter does.
-    for exec in sorted_failure_backends() {
-        let name = exec.name();
+    for leg in legs() {
+        let name = leg.name();
         let run = |sorted: bool| -> RuntimeError {
-            let ctx = Context::new(2, 4).with_executor(exec.clone());
-            ctx.set_memory_budget(None);
+            let ctx = leg.apply(Context::new(2, 4));
             let d = ctx.from_vec(vec![
                 Value::pair(Value::Long(1), Value::Long(10)),
                 Value::Long(99), // not a (key, value) pair
@@ -295,7 +275,7 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
         let sorted = run(true);
         assert_eq!(
             sorted.message, hash.message,
-            "backend `{name}`: malformed-row errors diverged"
+            "leg `{name}`: malformed-row errors diverged"
         );
         assert!(sorted.message.contains("pair"), "{sorted}");
     }
@@ -304,11 +284,11 @@ fn sorted_shuffle_rejects_non_pair_rows_like_the_hash_scatter() {
 #[test]
 fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
     // A fully transparent (vectorizable) fused chain whose 137th row
-    // divides by zero. Under the columnar backend the failure strikes in
-    // the middle of a 64-row tile; the tile is replayed tuple-at-a-time,
-    // so the surfaced first error — message and statement tag — must be
-    // byte-identical to `LocalExecutor`'s, on both keyed paths and under
-    // every exchange budget.
+    // divides by zero. In columnar tiles the failure strikes in the
+    // middle of a tile; the tile is replayed tuple-at-a-time, so the
+    // surfaced first error — message and statement tag — must be
+    // byte-identical to the opaque twin's on the row path, on both keyed
+    // paths and under every exchange budget.
     let expr = || {
         RowExpr::Tuple(vec![
             RowExpr::Bin(
@@ -329,28 +309,40 @@ fn columnar_mid_batch_failures_match_the_row_path_byte_for_byte() {
     };
     for budget in [None, Some(4096), Some(0)] {
         for sorted in [false, true] {
-            let run = |exec: Arc<dyn Executor>| -> RuntimeError {
-                let ctx = Context::new(3, 6).with_executor(exec);
-                ctx.set_memory_budget(budget);
+            let ctx = Context::new(3, 6);
+            ctx.set_memory_budget(budget);
+            let run = |transparent: bool| -> (RuntimeError, u64) {
+                let before = ctx.stats().snapshot();
                 ctx.set_statement_label(Some("s3: C := 1000 / (V[i] - 137)"));
-                let d = ctx
-                    .from_vec((0..300).map(Value::Long).collect())
-                    .map_expr(expr())
-                    .unwrap();
+                let d = map_step(
+                    &ctx.from_vec((0..300).map(Value::Long).collect()),
+                    expr(),
+                    transparent,
+                );
                 ctx.set_statement_label(None);
                 let keyed = if sorted {
                     d.sorted_reduce_by_key(|a, b| BinOp::Add.apply(a, b))
                 } else {
                     d.reduce_by_key(|a, b| BinOp::Add.apply(a, b))
                 };
-                match keyed {
+                let err = match keyed {
                     Err(e) => e,
                     Ok(k) => k.try_collect().unwrap_err(),
-                }
+                };
+                let vectorized = ctx.stats().snapshot().since(&before).vectorized_batches;
+                (err, vectorized)
             };
-            let row_path = run(Arc::new(LocalExecutor));
-            let columnar = run(Arc::new(ColumnarExecutor::new(64)));
+            let (row_path, row_batches) = run(false);
+            let (columnar, col_batches) = run(true);
             let mode = if sorted { "ordered" } else { "hash" };
+            assert_eq!(
+                row_batches, 0,
+                "{mode}/budget {budget:?}: the twin runs rows"
+            );
+            assert!(
+                col_batches > 0,
+                "{mode}/budget {budget:?}: the transparent chain must run columnar"
+            );
             assert_eq!(
                 columnar.message, row_path.message,
                 "{mode}/budget {budget:?}: columnar changed the first error"

@@ -1,5 +1,6 @@
 //! Ordering conformance for the sort-based shuffle path: for **every
-//! backend × budget (unbounded, 64 MiB, 0)**, the sorted keyed operators
+//! morsel size × exchange budget leg** (see `common::legs`), the sorted
+//! keyed operators
 //! (`sorted_reduce_by_key`, `sorted_group_by_key`, `sorted_merge`,
 //! `sorted_cogroup`) must produce output that is
 //!
@@ -7,51 +8,38 @@
 //!    partition by partition (range buckets are contiguous);
 //! 2. **multiset-equal to the hash path** — the same rows as
 //!    `reduce_by_key`/`group_by_key`/`merge`/`cogroup`, reordered only;
-//! 3. **byte-identical across backends and budgets** — local, tile, and
-//!    spill agree row for row, whether the exchange stayed in memory or
-//!    went through disk runs (spill counters in the budget-0 runs prove
-//!    the sorted runs really were merged back from disk).
+//! 3. **byte-identical across legs** — every morsel size and budget
+//!    agrees row for row, whether the exchange stayed in memory or went
+//!    through disk runs (spill counters in the budget-0 runs prove the
+//!    sorted runs really were merged back from disk).
 //!
 //! Property tests drive the same invariants through adversarial key
 //! distributions: zipf-ish skew, all-equal, pre-sorted, reverse-sorted.
 
-use std::sync::Arc;
+mod common;
 
 use proptest::prelude::*;
 
-use diablo_dataflow::{
-    ColumnarExecutor, Context, Dataset, Executor, LocalExecutor, MorselExecutor, Partitioner,
-    RangePartitioner, SpillExecutor, TileExecutor,
-};
+use common::{legs, Leg};
+use diablo_dataflow::{Context, Dataset, Partitioner, RangePartitioner};
 use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 
 /// The combiner-closure result type, for turbofishing `None` combiners.
 type RtResult = std::result::Result<Value, RuntimeError>;
 
-/// The backend × budget grid every invariant runs over. The tile backend
-/// uses a deliberately tiny batch so multi-tile paths are exercised; the
-/// spill backend always budgets its exchanges (context budget wins when
-/// set, so the `Some(0)` leg forces every chunk through disk there too);
-/// the columnar backend runs with a tiny batch so its per-stage layout
-/// decision happens many times per partition.
-fn backends() -> Vec<Arc<dyn Executor>> {
-    vec![
-        Arc::new(LocalExecutor),
-        Arc::new(TileExecutor::new(4)),
-        Arc::new(SpillExecutor::default()),
-        Arc::new(MorselExecutor),
-        Arc::new(ColumnarExecutor::new(16)),
-    ]
-}
-
 const BUDGETS: [Option<u64>; 3] = [None, Some(64 << 20), Some(0)];
 
-fn ctx_for(exec: Arc<dyn Executor>, budget: Option<u64>) -> Context {
-    // Tiny morsels keep the work-stealing splitter active on these small
-    // fixtures; ordering invariants must hold at any granularity.
-    let ctx = Context::new(3, 5).with_executor(exec).with_morsel_size(16);
-    ctx.set_memory_budget(budget);
-    ctx
+/// A context for one leg.
+fn ctx_for(leg: Leg) -> Context {
+    leg.apply(Context::new(3, 5))
+}
+
+/// A default-morsel context under one exchange budget.
+fn ctx_with_budget(budget: Option<u64>) -> Context {
+    ctx_for(Leg {
+        morsel: None,
+        budget,
+    })
 }
 
 fn pairs(ctx: &Context, entries: &[(i64, i64)]) -> Dataset {
@@ -91,7 +79,7 @@ fn entries(n: i64) -> Vec<(i64, i64)> {
 fn sorted_ops_conform_across_backends_and_budgets() {
     // Hash-path references (order-insensitive): the sorted ops must emit
     // exactly these multisets.
-    let reference_ctx = ctx_for(Arc::new(LocalExecutor), None);
+    let reference_ctx = ctx_with_budget(None);
     let a = pairs(&reference_ctx, &entries(400));
     let b = pairs(
         &reference_ctx,
@@ -115,64 +103,62 @@ fn sorted_ops_conform_across_backends_and_budgets() {
     // Byte-for-byte references from the first grid cell.
     let mut sorted_refs: Option<[Vec<Value>; 4]> = None;
 
-    for exec in backends() {
-        for budget in BUDGETS {
-            let name = format!("{} @ budget {:?}", exec.name(), budget);
-            let ctx = ctx_for(exec.clone(), budget);
-            let a = pairs(&ctx, &entries(400));
-            let b = pairs(
-                &ctx,
-                &(0..150)
-                    .map(|i| (i * 11 % 40, 1000 + i))
-                    .collect::<Vec<_>>(),
-            );
-            let before = ctx.stats().snapshot();
-            let reduce = a
-                .sorted_reduce_by_key(|x, y| BinOp::Add.apply(x, y))
-                .unwrap()
-                .collect();
-            let group = a.sorted_group_by_key().unwrap().collect();
-            let merge = a
-                .sorted_merge(&b, Some(|x: &Value, y: &Value| BinOp::Add.apply(x, y)))
-                .unwrap()
-                .collect();
-            let cogroup = a.sorted_cogroup(&b).unwrap().collect();
-            let stats = ctx.stats().snapshot().since(&before);
+    for leg in legs() {
+        let name = leg.name();
+        let ctx = ctx_for(leg);
+        let a = pairs(&ctx, &entries(400));
+        let b = pairs(
+            &ctx,
+            &(0..150)
+                .map(|i| (i * 11 % 40, 1000 + i))
+                .collect::<Vec<_>>(),
+        );
+        let before = ctx.stats().snapshot();
+        let reduce = a
+            .sorted_reduce_by_key(|x, y| BinOp::Add.apply(x, y))
+            .unwrap()
+            .collect();
+        let group = a.sorted_group_by_key().unwrap().collect();
+        let merge = a
+            .sorted_merge(&b, Some(|x: &Value, y: &Value| BinOp::Add.apply(x, y)))
+            .unwrap()
+            .collect();
+        let cogroup = a.sorted_cogroup(&b).unwrap().collect();
+        let stats = ctx.stats().snapshot().since(&before);
 
-            for (rows, what) in [
-                (&reduce, "reduce"),
-                (&group, "group"),
-                (&merge, "merge"),
-                (&cogroup, "cogroup"),
-            ] {
-                assert_key_ordered(rows, &format!("{name} {what}"));
-            }
-            assert_eq!(sorted_copy(&reduce), hash_reduce, "{name}: reduce multiset");
-            assert_eq!(sorted_copy(&group), hash_group, "{name}: group multiset");
-            assert_eq!(sorted_copy(&merge), hash_merge, "{name}: merge multiset");
-            assert_eq!(
-                sorted_copy(&cogroup),
-                hash_cogroup,
-                "{name}: cogroup multiset"
-            );
+        for (rows, what) in [
+            (&reduce, "reduce"),
+            (&group, "group"),
+            (&merge, "merge"),
+            (&cogroup, "cogroup"),
+        ] {
+            assert_key_ordered(rows, &format!("{name} {what}"));
+        }
+        assert_eq!(sorted_copy(&reduce), hash_reduce, "{name}: reduce multiset");
+        assert_eq!(sorted_copy(&group), hash_group, "{name}: group multiset");
+        assert_eq!(sorted_copy(&merge), hash_merge, "{name}: merge multiset");
+        assert_eq!(
+            sorted_copy(&cogroup),
+            hash_cogroup,
+            "{name}: cogroup multiset"
+        );
+        assert!(
+            stats.sorted_shuffles >= 4,
+            "{name}: every sorted op runs a key-ordered exchange: {stats:?}"
+        );
+        if leg.budget == Some(0) {
             assert!(
-                stats.sorted_shuffles >= 4,
-                "{name}: every sorted op runs a key-ordered exchange: {stats:?}"
+                stats.spill_files > 0 && stats.spilled_records > 0,
+                "{name}: budget 0 must merge sorted runs from disk: {stats:?}"
             );
-            if budget == Some(0) {
-                assert!(
-                    stats.spill_files > 0 && stats.spilled_records > 0,
-                    "{name}: budget 0 must merge sorted runs from disk: {stats:?}"
-                );
-            }
+        }
 
-            let outputs = [reduce, group, merge, cogroup];
-            match &sorted_refs {
-                None => sorted_refs = Some(outputs),
-                Some(reference) => {
-                    for (got, want) in outputs.iter().zip(reference.iter()) {
-                        assert_eq!(got, want, "{name}: diverged byte-for-byte from reference");
-                    }
+        let outputs = [reduce, group, merge, cogroup];
+        match &sorted_refs {
+            None => sorted_refs = Some(outputs),
+            Some(reference) => {
+                for (got, want) in outputs.iter().zip(reference.iter()) {
+                    assert_eq!(got, want, "{name}: diverged byte-for-byte from reference");
                 }
             }
         }
@@ -184,8 +170,8 @@ fn ordered_context_routes_keyed_operators_to_the_sorted_path() {
     // `Context::with_ordered` (the engine side of `diabloc --ordered` /
     // `DIABLO_ORDERED`) makes the plain keyed operators sort-based: same
     // multisets, key-ordered output, sorted shuffles in the stats.
-    let plain = ctx_for(Arc::new(LocalExecutor), None);
-    let ordered = ctx_for(Arc::new(LocalExecutor), None).with_ordered(true);
+    let plain = ctx_with_budget(None);
+    let ordered = ctx_with_budget(None).with_ordered(true);
     let d_plain = pairs(&plain, &entries(300));
     let d_ordered = pairs(&ordered, &entries(300));
     let before = ordered.stats().snapshot();
@@ -304,10 +290,10 @@ proptest! {
             prop_assert!(w[0] <= w[1], "bucket function not monotone: {buckets:?}");
         }
 
-        // Budget 0: the whole sorted exchange goes through disk runs on
-        // every backend, and the output must still be totally ordered and
-        // multiset-equal to the hash path.
-        let hash_ctx = ctx_for(Arc::new(LocalExecutor), None);
+        // Budget 0: the whole sorted exchange goes through disk runs at
+        // every morsel size, and the output must still be totally ordered
+        // and multiset-equal to the hash path.
+        let hash_ctx = ctx_with_budget(None);
         let hash = sorted_copy(
             &pairs(&hash_ctx, &rows)
                 .reduce_by_key(|x, y| BinOp::Add.apply(x, y))
@@ -316,9 +302,9 @@ proptest! {
         );
         let hash_group = sorted_copy(&pairs(&hash_ctx, &rows).group_by_key().unwrap().collect());
         let mut reference: Option<(Vec<Value>, Vec<Value>)> = None;
-        for exec in backends() {
-            let name = exec.name();
-            let ctx = ctx_for(exec, Some(0));
+        for leg in legs().into_iter().filter(|l| l.budget == Some(0)) {
+            let name = leg.name();
+            let ctx = ctx_for(leg);
             let d = pairs(&ctx, &rows);
             let before = ctx.stats().snapshot();
             let reduced = d
@@ -352,7 +338,7 @@ fn sorted_group_bags_match_hash_bag_order() {
     // values in exactly the hash path's order (source partition order,
     // then emission order) — equal keys ride the ordered exchange in
     // (source, sequence, emission) order.
-    let ctx = ctx_for(Arc::new(LocalExecutor), None);
+    let ctx = ctx_with_budget(None);
     let rows: Vec<(i64, i64)> = (0..240).map(|i| (i % 7, i)).collect();
     let d = pairs(&ctx, &rows);
     let hash: std::collections::HashMap<Value, Value> = d
@@ -363,7 +349,7 @@ fn sorted_group_bags_match_hash_bag_order() {
         .map(|r| key_value(&r).unwrap())
         .collect();
     for budget in BUDGETS {
-        let ctx = ctx_for(Arc::new(LocalExecutor), budget);
+        let ctx = ctx_with_budget(budget);
         let d = pairs(&ctx, &rows);
         for row in d.sorted_group_by_key().unwrap().collect() {
             let (k, bag) = key_value(&row).unwrap();
@@ -386,7 +372,7 @@ fn sorted_merge_matches_hash_merge_semantics() {
             pairs(ctx, &[(2, 1), (2, 2), (3, 30), (0, 5)]),
         )
     };
-    let hash_ctx = ctx_for(Arc::new(LocalExecutor), None);
+    let hash_ctx = ctx_with_budget(None);
     let (old, upd) = make(&hash_ctx);
     let hash_replace = sorted_copy(
         &old.merge(&upd, None::<fn(&Value, &Value) -> RtResult>)
@@ -399,7 +385,7 @@ fn sorted_merge_matches_hash_merge_semantics() {
             .collect(),
     );
     for budget in BUDGETS {
-        let ctx = ctx_for(Arc::new(LocalExecutor), budget);
+        let ctx = ctx_with_budget(budget);
         let (old, upd) = make(&ctx);
         let replace = old
             .sorted_merge(&upd, None::<fn(&Value, &Value) -> RtResult>)

@@ -7,7 +7,8 @@
 //! recomputes dropped entries from their plan on the next read. All of
 //! that must be invisible: Word Count and PageRank on inputs many times
 //! the budget return byte-identical rows, in identical order, with the
-//! identical first error, on every backend × hash/ordered routing — at
+//! identical first error, on every engine-settings leg × hash/ordered
+//! routing — at
 //! an unbounded budget, at a 4 KiB budget (everything demotes), and at
 //! a zero budget (caching disabled, every re-read recomputes).
 //!
@@ -17,24 +18,25 @@
 //! `while` programs) grew memory per iteration. Entries must now be
 //! released the moment the last dataset or derived plan drops.
 
+mod common;
+
+use common::{legs, Leg};
 use diablo_core::compile;
-use diablo_dataflow::{executor_named, Context, StatsSnapshot, BACKEND_NAMES};
+use diablo_dataflow::{Context, StatsSnapshot};
 use diablo_exec::Session;
 use diablo_runtime::Value;
 use diablo_workloads as wl;
 
-/// Runs a workload on one backend / routing / dataset budget; returns
+/// Runs a workload on one settings leg / routing / dataset budget; returns
 /// every output collection (in engine partition order) plus the run's
 /// statistics delta.
 fn run_budgeted(
     w: &wl::Workload,
-    backend: &str,
+    leg: Leg,
     ordered: bool,
     budget: Option<u64>,
 ) -> (Vec<(String, Vec<Value>)>, StatsSnapshot) {
-    let ctx = Context::new(3, 6)
-        .with_executor(executor_named(backend).expect(backend))
-        .with_ordered(ordered);
+    let ctx = leg.apply(Context::new(3, 6)).with_ordered(ordered);
     ctx.set_dataset_budget(budget);
     let compiled = compile(w.source).expect("compiles");
     let mut s = Session::new(ctx.clone());
@@ -62,28 +64,29 @@ fn run_budgeted(
 
 /// The tentpole contract: Word Count and PageRank on inputs far past the
 /// budget (the 4 KiB budget is ~10–100× smaller than the materialized
-/// data) are byte-identical to the unbounded run, per backend and per
+/// data) are byte-identical to the unbounded run, per settings leg and per
 /// shuffle routing — and the budgeted runs actually exercised the cache
 /// (spills or evictions fired).
 #[test]
 fn word_count_and_pagerank_are_budget_invariant_on_every_backend() {
     let workloads = [wl::word_count(1500, 7), wl::pagerank(60, 3, 7)];
     for w in &workloads {
-        for &backend in BACKEND_NAMES {
+        for leg in legs() {
+            let on = leg.name();
             for ordered in [false, true] {
-                let (reference, base) = run_budgeted(w, backend, ordered, None);
+                let (reference, base) = run_budgeted(w, leg, ordered, None);
                 assert!(
                     reference.iter().any(|(_, rows)| !rows.is_empty()),
-                    "{}: empty reference on {backend}",
+                    "{}: empty reference on {on}",
                     w.name
                 );
                 assert_eq!(base.dataset_spills, 0, "unbounded run never spills");
                 assert_eq!(base.dataset_evictions, 0, "unbounded run never evicts");
                 for budget in [Some(4096), Some(0)] {
-                    let (got, stats) = run_budgeted(w, backend, ordered, budget);
+                    let (got, stats) = run_budgeted(w, leg, ordered, budget);
                     assert_eq!(
                         got, reference,
-                        "{} diverged on {backend} (ordered={ordered}, budget={budget:?})",
+                        "{} diverged on {on} (ordered={ordered}, budget={budget:?})",
                         w.name
                     );
                     match budget {
@@ -91,14 +94,14 @@ fn word_count_and_pagerank_are_budget_invariant_on_every_backend() {
                         // tier, so LRU demotion to disk must have fired.
                         Some(4096) => assert!(
                             stats.dataset_spills > 0,
-                            "{} on {backend}: no spills under a 4 KiB budget: {stats:?}",
+                            "{} on {on}: no spills under a 4 KiB budget: {stats:?}",
                             w.name
                         ),
                         // 0: caching is disabled — every insert is an
                         // eviction, nothing is ever held.
                         _ => assert!(
                             stats.dataset_evictions > 0,
-                            "{} on {backend}: no evictions under a zero budget: {stats:?}",
+                            "{} on {on}: no evictions under a zero budget: {stats:?}",
                             w.name
                         ),
                     }

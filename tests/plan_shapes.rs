@@ -262,14 +262,13 @@ fn session_explain_renders_fused_plan() {
 
 #[test]
 fn plan_trace_notes_the_layout_per_stage_under_the_columnar_backend() {
-    // Satellite of the columnar engine: the executed-plan trace (the same
-    // lines `Session::explain` renders) carries a per-stage layout note —
-    // `layout: columnar` for a transparent chain, `layout: row (…)`
-    // naming the opaque step when a UDF forces the tuple path.
-    use diablo_dataflow::{ColumnarExecutor, RowExpr};
-    use std::sync::Arc;
+    // The executed-plan trace (the same lines `Session::explain` renders)
+    // carries a per-stage layout note — `layout: columnar` for a
+    // transparent chain, `layout: row (…)` naming the opaque step when a
+    // UDF forces the tuple path.
+    use diablo_dataflow::RowExpr;
 
-    let ctx = Context::new(2, 4).with_executor(Arc::new(ColumnarExecutor::new(64)));
+    let ctx = Context::new(2, 4);
     let d = ctx.from_vec((0..200).map(Value::Long).collect());
 
     ctx.start_plan_trace();

@@ -1,12 +1,14 @@
 //! The plan-invariant verifier end to end: a deliberately malformed plan
 //! (injected through the test-only hook) is caught with a structured
 //! `plan verifier:` error when `DIABLO_VERIFY_PLAN=1`, healthy plans
-//! across backends and shuffle paths pass verified, and the gate rejects
-//! typos loudly.
+//! across engine-settings legs and shuffle paths pass verified, and the
+//! gate rejects typos loudly.
 //!
 //! `DIABLO_VERIFY_PLAN` is process-global, so every test that touches it
 //! serializes on one mutex and restores the prior value before releasing
 //! it.
+
+mod common;
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -69,11 +71,10 @@ fn disabled_verifier_lets_the_malformed_plan_through() {
 #[test]
 fn healthy_plans_pass_verified_on_every_backend_and_shuffle_path() {
     let _env = set_verify(Some("1"));
-    for backend in diablo_dataflow::BACKEND_NAMES {
+    for leg in common::legs() {
+        let on = leg.name();
         for ordered in [false, true] {
-            let ctx = Context::new(2, 3)
-                .with_executor(diablo_dataflow::executor_named(backend).unwrap())
-                .with_ordered(ordered);
+            let ctx = leg.apply(Context::new(2, 3)).with_ordered(ordered);
             let d = ctx.range(1, 100);
             let pairs = d
                 .map(|v| {
@@ -86,7 +87,7 @@ fn healthy_plans_pass_verified_on_every_backend_and_shuffle_path() {
                 .unwrap();
             let mut rows = reduced.try_collect().unwrap();
             rows.sort();
-            assert_eq!(rows.len(), 7, "backend {backend} ordered={ordered}");
+            assert_eq!(rows.len(), 7, "{on} ordered={ordered}");
         }
     }
 }

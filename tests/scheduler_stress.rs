@@ -1,45 +1,51 @@
 //! Scheduler stress suite: the morsel-driven work-stealing scheduler must
 //! be invisible in results. Every Figure 3 workload is run under a grid of
 //! scheduler configurations — worker counts {1, 2, 7, all}, morsel sizes
-//! {1 row, 64 rows, default}, the static self-scheduling pool, and the
-//! local / spill / morsel / columnar backends — on both the hash and the `--ordered`
+//! {1 row, 64 rows, default}, the static self-scheduling pool, and
+//! exchange budgets {4096, 0} — on both the hash and the `--ordered`
 //! keyed paths, and every output must be *byte-identical* (exact `Value`
 //! equality, not approximate) to a one-worker reference run. Separately,
 //! injected mid-morsel failures must surface the same first error and
 //! statement tag no matter how morsels were split, stolen, or cancelled.
 
-use std::sync::Arc;
-
-use diablo_dataflow::{executor_named, Context, MorselExecutor};
+use diablo_dataflow::Context;
 use diablo_exec::Session;
 use diablo_runtime::{RuntimeError, Value};
 use diablo_workloads::Workload;
 
 /// Partition count is pinned across every configuration: partitioning is
 /// semantics (it decides chunk boundaries and shuffle fan-in), while
-/// workers, morsel size, and scheduler are pure execution policy and must
-/// not show through.
+/// workers, morsel size, scheduler, and exchange budget are pure
+/// execution policy and must not show through.
 const PARTITIONS: usize = 5;
 
 /// One scheduler configuration under test.
 struct Cfg {
     label: String,
-    backend: &'static str,
     workers: usize,
     morsel_size: Option<usize>,
     static_scheduler: bool,
+    memory_budget: Option<u64>,
 }
 
 impl Cfg {
+    fn new(label: &str, workers: usize) -> Cfg {
+        Cfg {
+            label: label.into(),
+            workers,
+            morsel_size: None,
+            static_scheduler: false,
+            memory_budget: None,
+        }
+    }
+
     fn context(&self, ordered: bool) -> Context {
-        let exec = executor_named(self.backend)
-            .unwrap_or_else(|| panic!("unknown backend `{}`", self.backend));
-        let ctx = Context::new(self.workers, PARTITIONS).with_executor(exec);
+        let ctx = Context::new(self.workers, PARTITIONS);
         if let Some(rows) = self.morsel_size {
             ctx.set_morsel_size(rows);
         }
         ctx.set_static_scheduler(self.static_scheduler);
-        ctx.set_memory_budget(None);
+        ctx.set_memory_budget(self.memory_budget);
         ctx.set_ordered(ordered);
         ctx
     }
@@ -49,63 +55,29 @@ fn all_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// The grid. Morsel sizes only matter on the morsel backend (the others
-/// never split), so the {1, 64, default} axis runs there; the local and
-/// spill backends cover the unsplit schedules, and one leg pins the
-/// retained static pool so both schedulers are compared on every workload.
+/// The grid: the {1, 64, default} morsel axis at three worker counts,
+/// the retained static pool (which never splits), and the spilling
+/// exchange budgets, so every schedule is compared on every workload.
 fn scheduler_grid() -> Vec<Cfg> {
     let mut grid = vec![
         Cfg {
-            label: "local w2".into(),
-            backend: "local",
-            workers: 2,
-            morsel_size: None,
-            static_scheduler: false,
-        },
-        Cfg {
-            label: "local w7".into(),
-            backend: "local",
-            workers: 7,
-            morsel_size: None,
-            static_scheduler: false,
-        },
-        Cfg {
-            label: "local w7 static-scheduler".into(),
-            backend: "local",
-            workers: 7,
-            morsel_size: None,
             static_scheduler: true,
+            ..Cfg::new("w7 static-scheduler", 7)
         },
         Cfg {
-            label: "spill w2".into(),
-            backend: "spill",
-            workers: 2,
-            morsel_size: None,
-            static_scheduler: false,
+            memory_budget: Some(4096),
+            ..Cfg::new("w2 budget 4096", 2)
         },
         Cfg {
-            label: "columnar w2".into(),
-            backend: "columnar",
-            workers: 2,
-            morsel_size: None,
-            static_scheduler: false,
-        },
-        Cfg {
-            label: "columnar w7".into(),
-            backend: "columnar",
-            workers: 7,
-            morsel_size: None,
-            static_scheduler: false,
+            memory_budget: Some(0),
+            ..Cfg::new("w7 budget 0", 7)
         },
     ];
     for workers in [2, 7, all_workers()] {
         for (tag, morsel) in [("m1", Some(1)), ("m64", Some(64)), ("mdefault", None)] {
             grid.push(Cfg {
-                label: format!("morsel w{workers} {tag}"),
-                backend: "morsel",
-                workers,
                 morsel_size: morsel,
-                static_scheduler: false,
+                ..Cfg::new(&format!("w{workers} {tag}"), workers)
             });
         }
     }
@@ -143,13 +115,7 @@ fn run_workload(w: &Workload, ctx: Context) -> Outputs {
 
 fn check_fig3_identity(ordered: bool) {
     let mode = if ordered { "ordered" } else { "hash" };
-    let reference_cfg = Cfg {
-        label: "local w1 reference".into(),
-        backend: "local",
-        workers: 1,
-        morsel_size: None,
-        static_scheduler: false,
-    };
+    let reference_cfg = Cfg::new("w1 reference", 1);
     for w in diablo_workloads::figure3_workloads(1, 42) {
         let reference = run_workload(&w, reference_cfg.context(ordered));
         for cfg in scheduler_grid() {
@@ -207,8 +173,7 @@ fn poisoned_run(ctx: Context) -> RuntimeError {
 
 #[test]
 fn midmorsel_failures_surface_the_same_first_error_everywhere() {
-    let reference =
-        poisoned_run(Context::new(1, PARTITIONS).with_executor(executor_named("local").unwrap()));
+    let reference = poisoned_run(Context::new(1, PARTITIONS));
     assert!(
         reference.message.contains("boom at the first poisoned row"),
         "reference picked the wrong row: {reference}"
@@ -233,9 +198,7 @@ fn statement_tags_survive_stolen_and_cancelled_morsels() {
     // number of in-flight morsels the poison flag must cancel; the tagged
     // error must still come out whole every time.
     for trial in 0..5 {
-        let ctx = Context::new(7, PARTITIONS)
-            .with_executor(Arc::new(MorselExecutor))
-            .with_morsel_size(1 + trial % 3);
+        let ctx = Context::new(7, PARTITIONS).with_morsel_size(1 + trial % 3);
         let err = poisoned_run(ctx);
         assert!(
             err.message.contains("boom at the first poisoned row")
