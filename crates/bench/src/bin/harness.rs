@@ -16,8 +16,9 @@
 //!                          #   unbounded run [--check]
 //! harness columnar         # a transparent (`map_expr`) fused expression chain
 //!                          #   vs its opaque twin on the row path, byte- and
-//!                          #   error-identity checked; Word Count and K-Means
-//!                          #   layout counters [--check]
+//!                          #   error-identity checked; Conditional Sum, Linear
+//!                          #   Regression, Word Count and K-Means layout
+//!                          #   counters [--check]
 //! harness all              # everything (used to fill EXPERIMENTS.md)
 //! harness --json <cmd>     # machine-readable: one JSON object per row,
 //!                          # each tagged with the engine settings
@@ -1150,15 +1151,18 @@ struct ColumnarRow {
 /// and once as its opaque twin (the same functions behind closures, on
 /// the row path), byte-checked (rows and order) against each other. A
 /// poisoned division mid-chain additionally checks that both paths
-/// surface the identical first error with its statement tag. Word Count
-/// and K-Means report the engine's own layout counters. `--check` gates:
-/// everything identical, the transparent chain vectorized with zero row
-/// fallbacks, and at least 3× faster than its twin.
+/// surface the identical first error with its statement tag. Conditional
+/// Sum, Linear Regression, Word Count and K-Means, compiled end to end
+/// and run through a `Session`, report the engine's own layout counters.
+/// `--check` gates: everything identical, the transparent chain
+/// vectorized with zero row fallbacks and at least 3× faster than its
+/// twin, and Conditional Sum and Linear Regression vectorized with zero
+/// row fallbacks.
 fn columnar(json: bool, check: bool) {
     if !json {
         println!("== Columnar: vectorized batches vs the tuple-at-a-time row path ===========");
         println!(
-            "{:<14} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
+            "{:<18} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
             "workload",
             "path",
             "secs",
@@ -1213,7 +1217,7 @@ fn columnar(json: bool, check: bool) {
             println!("{}", json_row(&fields));
         } else {
             println!(
-                "{:<14} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
+                "{:<18} {:>9} {:>10} {:>9} {:>12} {:>10} {:>10} {:>8}",
                 workload,
                 path,
                 secs(t),
@@ -1293,20 +1297,28 @@ fn columnar(json: bool, check: bool) {
     );
 
     // -- full compiled workloads: the engine's per-stage layout ---------
-    for w in [
-        wl::word_count(20_000 * s, 91),
-        wl::kmeans(2_000 * s, 3, 1, 92),
+    // Conditional Sum and Linear Regression are gated: their total
+    // aggregations must run as columnar lane folds end to end.
+    let mut gated = Vec::new();
+    for (w, gate) in [
+        (wl::conditional_sum(1_000_000 * s, 93), true),
+        (wl::linear_regression(400_000 * s, 94), true),
+        (wl::word_count(20_000 * s, 91), false),
+        (wl::kmeans(2_000 * s, 3, 1, 92), false),
     ] {
         let before = ctx.stats().snapshot();
-        let (_, t) = run_diablo_outputs(&w, &ctx);
+        let t = run_diablo(&w, &ctx);
         let stats = ctx.stats().snapshot().since(&before);
         emit(w.name, "engine", t, None, &stats, None, None);
+        if gate {
+            gated.push((w.name, stats));
+        }
     }
     if !json {
         println!();
     }
     if check {
-        columnar_check(&chain);
+        columnar_check(&chain, &gated);
     }
 }
 
@@ -1314,9 +1326,21 @@ fn columnar(json: bool, check: bool) {
 /// byte-identical to its opaque twin, the poisoned chain's first error
 /// identical too, the transparent chain genuinely vectorized end to end
 /// (batches counted, zero fallbacks), and at least 3× faster than
-/// tuple-at-a-time.
-fn columnar_check(r: &ColumnarRow) {
+/// tuple-at-a-time; and each gated compiled workload vectorized with zero
+/// row fallbacks.
+fn columnar_check(r: &ColumnarRow, workloads: &[(&str, diablo_dataflow::StatsSnapshot)]) {
     let mut failures: Vec<String> = Vec::new();
+    for (name, stats) in workloads {
+        if stats.vectorized_batches == 0 {
+            failures.push(format!("{name}: no vectorized batches counted"));
+        }
+        if stats.row_fallback_stages != 0 {
+            failures.push(format!(
+                "{name}: {} row-path fallback stages",
+                stats.row_fallback_stages
+            ));
+        }
+    }
     if !r.identical {
         failures.push("fusion-chain: columnar rows diverged from the row path".into());
     }

@@ -4,7 +4,11 @@
 //!
 //! * **Rule (16)** — group-by on a constant key forms a single group, so the
 //!   group-by is replaced by let-bindings that lift the prefix variables to
-//!   bags directly. This is how `n += W[i]` becomes a total aggregation.
+//!   bags directly. This is how `n += W[i]` becomes a total aggregation. A
+//!   lifted bag used exactly once, as the operand of `⊕/`, is not
+//!   let-bound: the rule emits `⊕/{v | q1}` in place, so `sum += v` becomes
+//!   `{ v₁ | let v₁ = (sum + +/{ v | (_, v) ← V }) }` and runs as one
+//!   fused distributed reduce.
 //! * **Rule (17)** — group-by on a *unique* key (an affine term consisting
 //!   of all array indexes bound before the group-by) forms singleton groups;
 //!   the group-by is replaced by lets and every lifted variable becomes a
@@ -105,6 +109,13 @@ fn bound_vars(quals: &[Qual]) -> HashSet<String> {
 /// `{ e | q1, group by p : c, q2 } →
 ///  { e | let p = c, ∀vi: let vi = {vi | q1}, q2 }`
 /// when the key `c` is constant with respect to the prefix `q1`.
+///
+/// A lifted bag used exactly once, as the operand of a total aggregation
+/// `⊕/vi` that runs once per evaluation (in the head, or in a let before
+/// any generator or condition of `q2`), is not let-bound: the aggregation
+/// takes the comprehension itself, `⊕/{vi | q1}`. The executor then runs
+/// it as one fused distributed reduce with map-side partials instead of
+/// materializing the bag and folding it on the driver.
 fn rule16_constant_key(c: &Comprehension) -> Option<Comprehension> {
     let gpos = c
         .quals
@@ -129,20 +140,115 @@ fn rule16_constant_key(c: &Comprehension) -> Option<Comprehension> {
             }
         }
     }
-    let mut new_quals: Vec<Qual> = vec![Qual::Let(p.clone(), key.clone())];
+    let mut lets: Vec<Qual> = vec![Qual::Let(p.clone(), key.clone())];
+    let mut q2 = q2.to_vec();
+    let mut head = (*c.head).clone();
     for q in q1 {
         for v in q.bound_vars() {
             if !key_vars.contains(&v) && used.contains(&v) {
                 let lifted = CExpr::Comp(Comprehension::new(CExpr::Var(v.clone()), q1.to_vec()));
-                new_quals.push(Qual::Let(Pattern::Var(v), lifted));
+                if !inline_total_agg(&v, &lifted, &key_vars, &mut q2, &mut head) {
+                    lets.push(Qual::Let(Pattern::Var(v), lifted));
+                }
             }
         }
     }
-    new_quals.extend(q2.iter().cloned());
+    lets.extend(q2);
     Some(Comprehension {
-        head: c.head.clone(),
-        quals: new_quals,
+        head: Box::new(head),
+        quals: lets,
     })
+}
+
+/// Replaces the single use `⊕/v` of the lifted bag `v` with `⊕/lifted`,
+/// when that use is the only free occurrence of `v` in `q2` and the head,
+/// sits in the head or in a let before any other kind of qualifier (so it
+/// is evaluated exactly once, like the let it replaces), and no binder in
+/// scope there captures a free variable of `lifted`. Returns whether it
+/// rewrote.
+fn inline_total_agg(
+    v: &str,
+    lifted: &CExpr,
+    key_vars: &HashSet<String>,
+    q2: &mut [Qual],
+    head: &mut CExpr,
+) -> bool {
+    let uses: usize = q2
+        .iter()
+        .map(|q| match q {
+            Qual::Gen(_, e) | Qual::Let(_, e) | Qual::Pred(e) | Qual::GroupBy(_, e) => {
+                e.free_occurrences(v)
+            }
+        })
+        .sum::<usize>()
+        + head.free_occurrences(v);
+    let binders: HashSet<String> = key_vars.iter().cloned().chain(bound_vars(q2)).collect();
+    if uses != 1 || lifted.free_vars().iter().any(|f| binders.contains(f)) {
+        return false;
+    }
+    for q in q2.iter_mut() {
+        let Qual::Let(_, e) = q else {
+            return false; // the use is past a generator or condition
+        };
+        if let Some(out) = with_agg_operand(e, v, lifted) {
+            *e = out;
+            return true;
+        }
+    }
+    match with_agg_operand(head, v, lifted) {
+        Some(out) => {
+            *head = out;
+            true
+        }
+        None => false,
+    }
+}
+
+/// `e` with its occurrence `⊕/v` replaced by `⊕/by`; `None` when `e`
+/// holds no such occurrence outside nested comprehensions.
+fn with_agg_operand(e: &CExpr, v: &str, by: &CExpr) -> Option<CExpr> {
+    let first = |es: &[CExpr]| -> Option<(usize, CExpr)> {
+        es.iter()
+            .enumerate()
+            .find_map(|(i, x)| with_agg_operand(x, v, by).map(|out| (i, out)))
+    };
+    match e {
+        CExpr::Agg(op, inner) if matches!(inner.as_ref(), CExpr::Var(x) if x == v) => {
+            Some(CExpr::Agg(*op, Box::new(by.clone())))
+        }
+        CExpr::Agg(op, inner) => Some(CExpr::Agg(*op, Box::new(with_agg_operand(inner, v, by)?))),
+        CExpr::Bin(op, a, b) => match with_agg_operand(a, v, by) {
+            Some(a) => Some(CExpr::Bin(*op, Box::new(a), b.clone())),
+            None => Some(CExpr::Bin(
+                *op,
+                a.clone(),
+                Box::new(with_agg_operand(b, v, by)?),
+            )),
+        },
+        CExpr::Un(op, a) => Some(CExpr::Un(*op, Box::new(with_agg_operand(a, v, by)?))),
+        CExpr::Proj(a, f) => Some(CExpr::Proj(
+            Box::new(with_agg_operand(a, v, by)?),
+            f.clone(),
+        )),
+        CExpr::Call(f, args) => {
+            let (i, out) = first(args)?;
+            let mut args = args.clone();
+            args[i] = out;
+            Some(CExpr::Call(*f, args))
+        }
+        CExpr::Tuple(fs) => {
+            let (i, out) = first(fs)?;
+            let mut fs = fs.clone();
+            fs[i] = out;
+            Some(CExpr::Tuple(fs))
+        }
+        CExpr::Var(_)
+        | CExpr::Const(_)
+        | CExpr::Record(_)
+        | CExpr::Comp(_)
+        | CExpr::Merge { .. }
+        | CExpr::Range(_, _) => None,
+    }
 }
 
 // --------------------------------------------------------------- Rule (17)
@@ -652,6 +758,71 @@ mod tests {
             out.as_bag().unwrap(),
             &[Value::pair(Value::Unit, Value::Long(6))]
         );
+    }
+
+    /// `{ head | (i, w) ← W, group by k : () }` for a given head.
+    fn constant_key_comp(head: CExpr) -> CExpr {
+        CExpr::Comp(Comprehension::new(
+            head,
+            vec![
+                Qual::Gen(
+                    Pattern::pair(Pattern::var("i"), Pattern::var("w")),
+                    CExpr::var("W"),
+                ),
+                Qual::GroupBy(Pattern::var("k"), CExpr::Const(Value::Unit)),
+            ],
+        ))
+    }
+
+    fn sum_of(v: &str) -> CExpr {
+        CExpr::Agg(AggOp::new(BinOp::Add).unwrap(), Box::new(CExpr::var(v)))
+    }
+
+    #[test]
+    fn rule16_aggregates_a_single_use_bag_in_place() {
+        // `(k, +/w)`: the lifted bag feeds exactly one `+/`, which takes
+        // the comprehension itself — no let-bound bag is left.
+        let mut env = Env::new();
+        env.insert("W".into(), pairs(&[(0, 1), (1, 2), (2, 3)]));
+        let o = assert_same_meaning(&total_agg_comp(), &env);
+        let CExpr::Comp(c) = &o else { panic!() };
+        let CExpr::Tuple(fs) = c.head.as_ref() else {
+            panic!("{c:?}")
+        };
+        assert!(
+            matches!(&fs[1], CExpr::Agg(_, inner) if matches!(inner.as_ref(), CExpr::Comp(_))),
+            "{c:?}"
+        );
+        assert!(
+            c.quals
+                .iter()
+                .all(|q| !matches!(q, Qual::Let(_, CExpr::Comp(_)))),
+            "{c:?}"
+        );
+    }
+
+    #[test]
+    fn rule16_keeps_the_let_for_shared_or_bare_bags() {
+        // Used twice, or outside an aggregation: the bag stays let-bound,
+        // so it is built once.
+        let mut env = Env::new();
+        env.insert("W".into(), pairs(&[(0, 1), (1, 2), (2, 3)]));
+        let twice = constant_key_comp(CExpr::Bin(
+            BinOp::Mul,
+            Box::new(sum_of("w")),
+            Box::new(sum_of("w")),
+        ));
+        let bare = constant_key_comp(CExpr::pair(sum_of("w"), CExpr::var("w")));
+        for e in [twice, bare] {
+            let o = assert_same_meaning(&e, &env);
+            let CExpr::Comp(c) = &o else { panic!() };
+            assert!(
+                c.quals
+                    .iter()
+                    .any(|q| matches!(q, Qual::Let(Pattern::Var(v), CExpr::Comp(_)) if v == "w")),
+                "{c:?}"
+            );
+        }
     }
 
     #[test]

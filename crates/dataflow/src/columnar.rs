@@ -26,6 +26,20 @@
 //!   over primitive lanes; anything type-mixed falls back to per-element
 //!   [`BinOp::apply`] so semantics agree by construction), and the
 //!   surviving rows are reassembled once at the end of the chain.
+//! * **Typed tuple decompose** — a tile of tuples is split straight into
+//!   one typed lane per field, reading each field in place (no per-field
+//!   `Vec<Value>` of clones). Top-level fields no step reads (the key of
+//!   an array traversal `(_, v) ← V`, say) are not decomposed at all.
+//! * **[`fold_chain`]** — the columnar consumer of a total reduction
+//!   (`⊕/` over a fused chain): each tile's final column is folded in
+//!   place — `f64`/`i64` lanes under `+ * min max`, `bool` lanes under
+//!   `&& ||` — strictly left to right from the first surviving row, so
+//!   the result is bit-identical to the row fold. Surviving rows are
+//!   never rebuilt as `Value`s; any other lane (strings, tuples, opaque
+//!   rows, a mixed-type accumulator) folds per element through
+//!   [`BinOp::apply`]. A morsel of a split partition runs through
+//!   [`defer_chain`] instead, keeping its final columns as a
+//!   [`FoldPiece`] that folds later, in row order, with the same result.
 //!
 //! ## Error identity
 //!
@@ -81,13 +95,57 @@ pub enum RowExpr {
     /// Record-field / tuple-position access (`_1`, `_2`, … or a record
     /// field name), with [`Value::field`] semantics.
     Field(Box<RowExpr>, String),
+    /// Destructures the input row against a flat tuple pattern of
+    /// variables and wildcards: a row that is a tuple of exactly `arity`
+    /// fields yields the tuple of its fields at positions `take` (the
+    /// pattern's variables, in order); any other row fails with
+    /// `pattern {pattern} does not match source row {row}`. Build it with
+    /// [`RowExpr::unpack`].
+    Unpack {
+        /// The pattern's field count.
+        arity: usize,
+        /// Positions of the pattern's variables, each below `arity`.
+        take: Vec<usize>,
+        /// The pattern as it appears in the mismatch error.
+        pattern: Arc<str>,
+    },
 }
 
 fn narrow_row() -> RuntimeError {
     RuntimeError::new("row is narrower than its layout")
 }
 
+fn unpack_mismatch(pattern: &str, row: &Value) -> RuntimeError {
+    RuntimeError::new(format!("pattern {pattern} does not match source row {row}"))
+}
+
+/// The 0-based tuple position a `_k` field name selects, as
+/// [`Value::field`] reads it.
+fn tuple_position(name: &str) -> Option<usize> {
+    name.strip_prefix('_')?
+        .parse::<usize>()
+        .ok()?
+        .checked_sub(1)
+}
+
 impl RowExpr {
+    /// A [`RowExpr::Unpack`] of the input row.
+    ///
+    /// # Panics
+    ///
+    /// If a position in `take` is not below `arity`.
+    pub fn unpack(arity: usize, take: Vec<usize>, pattern: impl Into<Arc<str>>) -> RowExpr {
+        assert!(
+            take.iter().all(|&i| i < arity),
+            "unpack positions {take:?} exceed arity {arity}"
+        );
+        RowExpr::Unpack {
+            arity,
+            take,
+            pattern: pattern.into(),
+        }
+    }
+
     /// Evaluates the expression against one row — the row path. This is
     /// what `Dataset::map_expr` / `filter_expr` closures call, and what a
     /// failed tile's replay runs.
@@ -123,8 +181,63 @@ impl RowExpr {
                     ))),
                 }
             }
+            RowExpr::Unpack {
+                arity,
+                take,
+                pattern,
+            } => match row.as_tuple() {
+                Some(fs) if fs.len() == *arity => {
+                    Ok(Value::tuple(take.iter().map(|&i| fs[i].clone()).collect()))
+                }
+                _ => Err(unpack_mismatch(pattern, row)),
+            },
         }
     }
+
+    /// Collects the top-level fields of the input row this expression
+    /// reads into `out`. Returns `false` when it reads the row as a whole
+    /// (or a field it cannot place), so every field is needed.
+    fn reads_fields(&self, out: &mut Vec<usize>) -> bool {
+        match self {
+            RowExpr::Input => false,
+            RowExpr::Col(i) => {
+                out.push(*i);
+                true
+            }
+            RowExpr::Const(_) => true,
+            RowExpr::Bin(_, a, b) => a.reads_fields(out) && b.reads_fields(out),
+            RowExpr::Un(_, e) => e.reads_fields(out),
+            RowExpr::Call(_, es) | RowExpr::Tuple(es) => es.iter().all(|e| e.reads_fields(out)),
+            RowExpr::Field(e, name) => match (e.as_ref(), tuple_position(name)) {
+                (RowExpr::Input, Some(k)) => {
+                    out.push(k);
+                    true
+                }
+                _ => e.reads_fields(out),
+            },
+            RowExpr::Unpack { take, .. } => {
+                out.extend(take);
+                true
+            }
+        }
+    }
+}
+
+/// The top-level source fields a chain reads, or `None` when it may read
+/// whole rows. Leading filters pass their input row on, so their reads
+/// count together with the first map's; a chain of filters only hands
+/// the source rows themselves to the consumer.
+fn source_fields(steps: &[Step]) -> Option<Vec<usize>> {
+    let mut out = Vec::new();
+    for s in steps {
+        if !s.expr.as_ref()?.reads_fields(&mut out) {
+            return None;
+        }
+        if matches!(s.op, StepOp::Map(_)) {
+            return Some(out);
+        }
+    }
+    None
 }
 
 /// True when every fused step of the chain carries a [`RowExpr`] — the
@@ -151,12 +264,15 @@ enum VCol {
     Const(Value),
     /// Opaque rows — no typed layout applies; per-element semantics.
     Val(Arc<Vec<Value>>),
+    /// A tuple field no step of the chain reads, left undecomposed.
+    Skipped,
 }
 
 /// Columnarizes a borrowed tile. Typed lanes when the tile is homogeneous;
-/// the opaque column otherwise.
-fn decompose(rows: &[Value]) -> VCol {
-    match try_typed(rows) {
+/// the opaque column otherwise. In a tile of tuples, top-level fields
+/// outside `need` (when given) are [`VCol::Skipped`].
+fn decompose(rows: &[Value], need: Option<&[usize]>) -> VCol {
+    match try_typed(rows.iter(), rows.len(), need) {
         Some(col) => col,
         None => VCol::Val(Arc::new(rows.to_vec())),
     }
@@ -165,52 +281,94 @@ fn decompose(rows: &[Value]) -> VCol {
 /// Columnarizes an owned tile (e.g. a fallback step's per-element output),
 /// reusing the allocation when no typed layout applies.
 fn decompose_owned(rows: Vec<Value>) -> VCol {
-    match try_typed(&rows) {
+    match try_typed(rows.iter(), rows.len(), None) {
         Some(col) => col,
         None => VCol::Val(Arc::new(rows)),
     }
 }
 
-fn try_typed(rows: &[Value]) -> Option<VCol> {
-    match rows.first()? {
+/// Typed lanes for `len` homogeneous values, read in place. Tuples of one
+/// width split into one column per field; each field is read straight
+/// from its tuples, and only a field that is itself a tuple (or has no
+/// typed layout) gathers references first.
+fn try_typed<'a, I>(rows: I, len: usize, need: Option<&[usize]>) -> Option<VCol>
+where
+    I: Iterator<Item = &'a Value> + Clone,
+{
+    let Value::Tuple(first) = rows.clone().next()? else {
+        return try_leaf(rows, len);
+    };
+    let width = first.len();
+    if !rows
+        .clone()
+        .all(|v| matches!(v, Value::Tuple(fs) if fs.len() == width))
+    {
+        return None;
+    }
+    let field = |c: usize| {
+        rows.clone().map(move |v| match v {
+            Value::Tuple(fs) => &fs[c],
+            _ => unreachable!("checked tuple width"),
+        })
+    };
+    let cols = (0..width)
+        .map(|c| {
+            if need.is_some_and(|n| !n.contains(&c)) {
+                return VCol::Skipped;
+            }
+            if let Some(col) = try_leaf(field(c), len) {
+                return col;
+            }
+            let refs: Vec<&Value> = field(c).collect();
+            try_typed(refs.iter().copied(), len, None)
+                .unwrap_or_else(|| VCol::Val(Arc::new(refs.into_iter().cloned().collect())))
+        })
+        .collect();
+    Some(VCol::Tuple(Arc::new(cols)))
+}
+
+/// A primitive lane (long, double, bool, or dictionary-encoded string)
+/// when all `len` values share that type.
+fn try_leaf<'a>(rows: impl Iterator<Item = &'a Value> + Clone, len: usize) -> Option<VCol> {
+    match rows.clone().next()? {
         Value::Long(_) => {
-            let mut lane = Vec::with_capacity(rows.len());
+            let mut lane = Vec::with_capacity(len);
             for v in rows {
                 match v {
                     Value::Long(n) => lane.push(*n),
                     _ => return None,
                 }
             }
-            Some(VCol::Long(Arc::new(lane)))
+            Some(long_col(lane))
         }
         Value::Double(_) => {
-            let mut lane = Vec::with_capacity(rows.len());
+            let mut lane = Vec::with_capacity(len);
             for v in rows {
                 match v {
                     Value::Double(x) => lane.push(*x),
                     _ => return None,
                 }
             }
-            Some(VCol::Double(Arc::new(lane)))
+            Some(double_col(lane))
         }
         Value::Bool(_) => {
-            let mut lane = Vec::with_capacity(rows.len());
+            let mut lane = Vec::with_capacity(len);
             for v in rows {
                 match v {
                     Value::Bool(b) => lane.push(*b),
                     _ => return None,
                 }
             }
-            Some(VCol::Bool(Arc::new(lane)))
+            Some(bool_col(lane))
         }
         Value::Str(_) => {
-            let mut ids = Vec::with_capacity(rows.len());
+            let mut ids = Vec::with_capacity(len);
             let mut dict: Vec<Arc<str>> = Vec::new();
-            let mut seen: HashMap<Arc<str>, u32> = HashMap::new();
+            let mut seen: HashMap<&Arc<str>, u32> = HashMap::new();
             for v in rows {
                 match v {
                     Value::Str(s) => {
-                        let id = *seen.entry(s.clone()).or_insert_with(|| {
+                        let id = *seen.entry(s).or_insert_with(|| {
                             dict.push(s.clone());
                             (dict.len() - 1) as u32
                         });
@@ -220,25 +378,6 @@ fn try_typed(rows: &[Value]) -> Option<VCol> {
                 }
             }
             Some(VCol::Str(Arc::new(ids), Arc::new(dict)))
-        }
-        Value::Tuple(first) => {
-            let width = first.len();
-            if !rows
-                .iter()
-                .all(|v| matches!(v, Value::Tuple(fs) if fs.len() == width))
-            {
-                return None;
-            }
-            let cols = (0..width)
-                .map(|c| {
-                    let field: Vec<Value> = rows
-                        .iter()
-                        .map(|v| v.as_tuple().expect("checked tuple")[c].clone())
-                        .collect();
-                    decompose_owned(field)
-                })
-                .collect();
-            Some(VCol::Tuple(Arc::new(cols)))
         }
         _ => None,
     }
@@ -255,6 +394,7 @@ impl VCol {
             VCol::Tuple(cols) => Value::tuple(cols.iter().map(|c| c.get(i)).collect()),
             VCol::Const(v) => v.clone(),
             VCol::Val(rows) => rows[i].clone(),
+            VCol::Skipped => unreachable!("a skipped field is never read"),
         }
     }
 
@@ -283,6 +423,7 @@ impl VCol {
                     .map(|(v, _)| v.clone())
                     .collect(),
             )),
+            VCol::Skipped => VCol::Skipped,
         }
     }
 }
@@ -490,6 +631,20 @@ fn vec_bin(op: BinOp, a: &VCol, b: &VCol, len: usize) -> Result<VCol> {
             _ => fallback_bin(op, a, b, len),
         };
     }
+    if let (VCol::Str(ids, dict), VCol::Const(Value::Str(s)))
+    | (VCol::Const(Value::Str(s)), VCol::Str(ids, dict)) = (a, b)
+    {
+        // Equality with a string constant: look the constant up in the
+        // dictionary once, then compare ids (no id matches when it is not
+        // in the dictionary).
+        if matches!(op, Eq | Ne) {
+            let id = dict.iter().position(|d| d == s).map(|p| p as u32);
+            let want = op == Eq;
+            return Ok(bool_col(
+                ids.iter().map(|&i| (Some(i) == id) == want).collect(),
+            ));
+        }
+    }
     if let (VCol::Str(xi, xd), VCol::Str(yi, yd)) = (a, b) {
         // Within one dictionary ids are unique per string, so equality
         // over a shared dictionary is an id compare.
@@ -550,15 +705,13 @@ fn project(col: &VCol, i: usize, len: usize) -> Result<VCol> {
 fn project_field(col: &VCol, name: &str, len: usize) -> Result<VCol> {
     if let VCol::Tuple(cols) = col {
         // `_k` on a struct-of-arrays tuple is just the k-th child column.
-        if let Some(k) = name
-            .strip_prefix('_')
-            .and_then(|s| s.parse::<usize>().ok())
-            .and_then(|k| k.checked_sub(1))
-        {
-            if let Some(c) = cols.get(k) {
-                return Ok(c.clone());
-            }
-        }
+        // Any other name fails on every row, and the tile replay reports
+        // the first one by value (this tile may hold skipped fields, so it
+        // is not reassembled here).
+        return tuple_position(name)
+            .and_then(|k| cols.get(k))
+            .cloned()
+            .ok_or_else(|| RuntimeError::new(format!("a tuple tile has no field `{name}`")));
     }
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
@@ -615,6 +768,25 @@ fn vec_eval(expr: &RowExpr, input: &VCol, len: usize) -> Result<VCol> {
             let col = vec_eval(e, input, len)?;
             project_field(&col, name, len)
         }
+        RowExpr::Unpack { arity, take, .. } => match input {
+            VCol::Tuple(cols) if cols.len() == *arity => Ok(VCol::Tuple(Arc::new(
+                take.iter().map(|&i| cols[i].clone()).collect(),
+            ))),
+            // Every row of a struct-of-arrays tile has the wrong width;
+            // the tile replay reports the first one by value.
+            VCol::Tuple(cols) => Err(RuntimeError::new(format!(
+                "a tile of {}-field rows does not match a {arity}-field pattern",
+                cols.len()
+            ))),
+            VCol::Const(v) => expr.eval(v).map(VCol::Const),
+            _ => {
+                let mut out = Vec::with_capacity(len);
+                for i in 0..len {
+                    out.push(expr.eval(&input.get(i))?);
+                }
+                Ok(decompose_owned(out))
+            }
+        },
     }
 }
 
@@ -637,9 +809,11 @@ fn mask_of(col: &VCol, len: usize) -> Result<Vec<bool>> {
 }
 
 /// Runs one tile through the whole fused chain in columnar form:
-/// decompose once, per-column loops per step, reassemble once.
-fn run_tile(rows: &[Value], steps: &[Step]) -> Result<Vec<Value>> {
-    let mut col = decompose(rows);
+/// decompose once (only the source fields the chain reads), then
+/// per-column loops per step. Returns the final column and its row count,
+/// or `None` when a filter emptied the tile.
+fn run_tile(rows: &[Value], steps: &[Step]) -> Result<Option<(VCol, usize)>> {
+    let mut col = decompose(rows, source_fields(steps).as_deref());
     let mut len = rows.len();
     for s in steps {
         let expr = s
@@ -661,10 +835,157 @@ fn run_tile(rows: &[Value], steps: &[Step]) -> Result<Vec<Value>> {
             StepOp::FlatMap(_) => return Err(RuntimeError::new("opaque step in a columnar stage")),
         }
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(None);
         }
     }
-    Ok((0..len).map(|i| col.get(i)).collect())
+    Ok(Some((col, len)))
+}
+
+/// Where a chain's surviving rows go: one row at a time (the row path and
+/// a failed tile's replay), or a whole tile's final column at once.
+trait ChainSink {
+    fn row(&mut self, v: Value) -> Result<()>;
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()>;
+}
+
+/// A row sink: a tile is reassembled into rows once, at the end of the
+/// chain.
+struct Rows<'a>(&'a mut dyn FnMut(Value) -> Result<()>);
+
+impl ChainSink for Rows<'_> {
+    fn row(&mut self, v: Value) -> Result<()> {
+        (self.0)(v)
+    }
+
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        for i in 0..len {
+            (self.0)(col.get(i))?;
+        }
+        Ok(())
+    }
+}
+
+/// A total reduction's running fold: `acc ⊕ row`, left to right from the
+/// first surviving row.
+struct Fold<'a> {
+    op: BinOp,
+    acc: &'a mut Option<Value>,
+}
+
+impl ChainSink for Fold<'_> {
+    fn row(&mut self, v: Value) -> Result<()> {
+        *self.acc = Some(match self.acc.take() {
+            None => v,
+            Some(a) => self.op.apply(&a, &v)?,
+        });
+        Ok(())
+    }
+
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        if let Some(v) = lane_fold(self.op, col, 0, len, self.acc) {
+            *self.acc = Some(v);
+            return Ok(());
+        }
+        // The accumulator's type differs from the lane's (a type-mixed
+        // input) or the lane has no typed fold: one runtime step brings
+        // the accumulator to the lane's type where the runtime promotes,
+        // then the rest folds typed if it can, per element otherwise.
+        self.row(col.get(0))?;
+        if let Some(v) = lane_fold(self.op, col, 1, len, self.acc) {
+            *self.acc = Some(v);
+            return Ok(());
+        }
+        for i in 1..len {
+            self.row(col.get(i))?;
+        }
+        Ok(())
+    }
+}
+
+impl<T: Copy> Lane<'_, T> {
+    /// Folds elements `start..len` onto `init`, strictly left to right.
+    fn fold(&self, start: usize, len: usize, init: T, f: impl Fn(T, T) -> T) -> T {
+        match self {
+            Lane::V(xs) => xs[start..len].iter().fold(init, |a, &x| f(a, x)),
+            Lane::C(c) => (start..len).fold(init, |a, _| f(a, *c)),
+        }
+    }
+
+    fn at(&self, i: usize) -> T {
+        match self {
+            Lane::V(xs) => xs[i],
+            Lane::C(c) => *c,
+        }
+    }
+}
+
+/// Folds a typed lane's elements `start..len` onto the accumulator with
+/// exactly [`BinOp::apply`]'s arithmetic — wrapping `i64` `+ *`, IEEE
+/// `f64` `+ *`, `min`/`max` by the runtime's total order, `bool` `&& ||`.
+/// With no accumulator the fold starts from element `start`. `None` when
+/// the operator, the lane, or the accumulator's type has no typed fold.
+fn lane_fold(
+    op: BinOp,
+    col: &VCol,
+    start: usize,
+    len: usize,
+    acc: &Option<Value>,
+) -> Option<Value> {
+    use std::cmp::Ordering::{Greater, Less};
+    use BinOp::*;
+    fn seed<T: Copy>(lane: &Lane<'_, T>, start: usize, acc: Option<T>) -> (T, usize) {
+        match acc {
+            Some(a) => (a, start),
+            None => (lane.at(start), start + 1),
+        }
+    }
+    if let Some(lane) = lane_i64(col) {
+        let f: fn(i64, i64) -> i64 = match op {
+            Add => i64::wrapping_add,
+            Mul => i64::wrapping_mul,
+            Min => |a, b| if a <= b { a } else { b },
+            Max => |a, b| if a >= b { a } else { b },
+            _ => return None,
+        };
+        let acc = match acc {
+            None => None,
+            Some(Value::Long(a)) => Some(*a),
+            Some(_) => return None,
+        };
+        let (init, from) = seed(&lane, start, acc);
+        return Some(Value::Long(lane.fold(from, len, init, f)));
+    }
+    if let Some(lane) = lane_f64(col) {
+        let f: fn(f64, f64) -> f64 = match op {
+            Add => |a, b| a + b,
+            Mul => |a, b| a * b,
+            Min => |a, b| if a.total_cmp(&b) != Greater { a } else { b },
+            Max => |a, b| if a.total_cmp(&b) != Less { a } else { b },
+            _ => return None,
+        };
+        let acc = match acc {
+            None => None,
+            Some(Value::Double(a)) => Some(*a),
+            Some(_) => return None,
+        };
+        let (init, from) = seed(&lane, start, acc);
+        return Some(Value::Double(lane.fold(from, len, init, f)));
+    }
+    if let Some(lane) = lane_bool(col) {
+        let f: fn(bool, bool) -> bool = match op {
+            And => |a, b| a && b,
+            Or => |a, b| a || b,
+            _ => return None,
+        };
+        let acc = match acc {
+            None => None,
+            Some(Value::Bool(a)) => Some(*a),
+            Some(_) => return None,
+        };
+        let (init, from) = seed(&lane, start, acc);
+        return Some(Value::Bool(lane.fold(from, len, init, f)));
+    }
+    None
 }
 
 /// Drives a run of source rows through an eligible chain **batch-at-a-time
@@ -679,13 +1000,108 @@ pub(crate) fn drive_columnar(
     stats: &Stats,
     sink: &mut dyn FnMut(Value) -> Result<()>,
 ) -> Result<()> {
+    drive_tiles(rows, steps, batch, stats, &mut Rows(sink))
+}
+
+/// Folds the rows a chain yields into `acc` with `op` — the consumer of a
+/// total reduction. An eligible chain runs in `batch`-row columnar tiles
+/// whose final columns fold as typed lanes ([`lane_fold`]); any other
+/// chain folds tuple-at-a-time. Either way the fold is `acc ⊕ row`
+/// strictly in row order, so the result is bit-identical to the row path,
+/// and a failing tile replays into the row fold for error identity.
+pub(crate) fn fold_chain(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    op: BinOp,
+    acc: &mut Option<Value>,
+) -> Result<()> {
+    let mut fold = Fold { op, acc };
+    if eligible(steps) {
+        return drive_tiles(rows, steps, batch, stats, &mut fold);
+    }
+    for row in rows {
+        drive(row, steps, &mut |v| fold.row(v))?;
+    }
+    Ok(())
+}
+
+/// One morsel of a total reduction, evaluated with its fold deferred: the
+/// chain's final tile columns (and a failed tile's replayed rows) in row
+/// order, then the chain's error, if any. Folding a partition's pieces in
+/// order with [`FoldPiece::fold_into`] is exactly [`fold_chain`] over the
+/// whole partition — the same result bits and the same first error — so
+/// morsels evaluate in parallel while the fold stays strictly left to
+/// right.
+pub(crate) struct FoldPiece {
+    chunks: Vec<Chunk>,
+    err: Option<RuntimeError>,
+}
+
+enum Chunk {
+    Tile(VCol, usize),
+    Row(Value),
+}
+
+/// A sink that keeps what a chain yields for a later fold.
+struct Defer<'a>(&'a mut Vec<Chunk>);
+
+impl ChainSink for Defer<'_> {
+    fn row(&mut self, v: Value) -> Result<()> {
+        self.0.push(Chunk::Row(v));
+        Ok(())
+    }
+
+    fn tile(&mut self, col: &VCol, len: usize) -> Result<()> {
+        self.0.push(Chunk::Tile(col.clone(), len));
+        Ok(())
+    }
+}
+
+/// Runs an eligible chain over `rows` in `batch`-row tiles, keeping the
+/// final columns for [`FoldPiece::fold_into`].
+pub(crate) fn defer_chain(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+) -> FoldPiece {
+    debug_assert!(eligible(steps));
+    let mut chunks = Vec::new();
+    let err = drive_tiles(rows, steps, batch, stats, &mut Defer(&mut chunks)).err();
+    FoldPiece { chunks, err }
+}
+
+impl FoldPiece {
+    /// Folds the piece into `acc` with `op`, then surfaces the chain's
+    /// error — unless the fold failed first, on an earlier row.
+    pub(crate) fn fold_into(self, op: BinOp, acc: &mut Option<Value>) -> Result<()> {
+        let mut fold = Fold { op, acc };
+        for chunk in self.chunks {
+            match chunk {
+                Chunk::Tile(col, len) => fold.tile(&col, len)?,
+                Chunk::Row(v) => fold.row(v)?,
+            }
+        }
+        self.err.map_or(Ok(()), Err)
+    }
+}
+
+fn drive_tiles(
+    rows: &[Value],
+    steps: &[Step],
+    batch: usize,
+    stats: &Stats,
+    sink: &mut dyn ChainSink,
+) -> Result<()> {
     debug_assert!(batch > 0);
     for tile in rows.chunks(batch.max(1)) {
         match run_tile(tile, steps) {
             Ok(out) => {
                 stats.record_vectorized_batch();
-                for v in out {
-                    sink(v)?;
+                if let Some((col, len)) = out {
+                    sink.tile(&col, len)?;
                 }
             }
             Err(batched) => {
@@ -694,7 +1110,7 @@ pub(crate) fn drive_columnar(
                 // canonical first error may come from an earlier row or
                 // from the consumer, not from the lane that failed first.
                 for row in tile {
-                    drive(row, steps, sink)?;
+                    drive(row, steps, &mut |v| sink.row(v))?;
                 }
                 // Non-deterministic operator: the replay sailed through,
                 // so keep the batched error.
@@ -846,7 +1262,8 @@ mod tests {
         )];
         let (col, row) = run_both(&rows, &steps, 64);
         assert_eq!(col.unwrap(), row.unwrap());
-        // And against a constant (falls back per element, same rows).
+        // And against a constant (one dictionary lookup, same rows),
+        // including one that is in no tile's dictionary.
         let steps = vec![step_filter(
             bin(
                 BinOp::Eq,
@@ -859,6 +1276,180 @@ mod tests {
         let kept = col.unwrap();
         assert_eq!(kept.len(), 200 / 3 + 1);
         assert_eq!(kept, row.unwrap());
+        let steps = vec![step_filter(
+            bin(BinOp::Ne, RowExpr::Const(Value::str("fig")), RowExpr::Input),
+            None,
+        )];
+        let (col, row) = run_both(&rows, &steps, 64);
+        assert_eq!(col.unwrap(), rows);
+        assert_eq!(row.unwrap(), rows);
+    }
+
+    fn pairs(n: i64) -> Vec<Value> {
+        (0..n)
+            .map(|i| Value::pair(Value::Long(i), Value::Double(i as f64 / 4.0)))
+            .collect()
+    }
+
+    #[test]
+    fn unpack_matches_the_row_path_and_its_mismatch_error() {
+        let steps = || {
+            vec![
+                step_map(RowExpr::unpack(2, vec![1], "(_, v)"), Some("s1:x")),
+                step_map(
+                    bin(BinOp::Mul, RowExpr::Col(0), RowExpr::Const(Value::Long(2))),
+                    None,
+                ),
+            ]
+        };
+        let rows = pairs(300);
+        let (col, row) = run_both(&rows, &steps(), 64);
+        assert_eq!(col.unwrap(), row.unwrap());
+        // A non-pair or a 3-tuple mid-tile, or a whole tile of 3-tuples.
+        let triple = |i: i64| Value::tuple(vec![Value::Long(i); 3]);
+        let mut long_row = rows.clone();
+        long_row[100] = Value::Long(7);
+        let mut triple_row = rows.clone();
+        triple_row[100] = triple(100);
+        let all_triples: Vec<Value> = (0..300).map(triple).collect();
+        for bad in [long_row, triple_row, all_triples] {
+            let (col, row) = run_both(&bad, &steps(), 64);
+            let (col, row) = (col.unwrap_err().message, row.unwrap_err().message);
+            assert_eq!(col, row);
+            assert!(
+                col.starts_with("[s1:x] pattern (_, v) does not match source row"),
+                "{col}"
+            );
+        }
+    }
+
+    #[test]
+    fn unread_tuple_fields_are_not_decomposed() {
+        let rows = pairs(10);
+        let unpack = step_map(RowExpr::unpack(2, vec![1], "(_, v)"), None);
+        let reads_key = step_filter(
+            bin(BinOp::Gt, RowExpr::Col(0), RowExpr::Const(Value::Long(3))),
+            None,
+        );
+        let fields = |steps: &[Step]| match decompose(&rows, source_fields(steps).as_deref()) {
+            VCol::Tuple(cols) => cols.iter().map(|c| !matches!(c, VCol::Skipped)).collect(),
+            other => panic!("{other:?}"),
+        };
+        let kept: Vec<bool> = fields(std::slice::from_ref(&unpack));
+        assert_eq!(kept, [false, true], "only `v` is read");
+        // A leading filter reads the key, so it is decomposed too; a
+        // chain of filters hands whole rows on.
+        assert_eq!(fields(&[reads_key.clone(), unpack]), [true, true]);
+        assert_eq!(fields(std::slice::from_ref(&reads_key)), [true, true]);
+        let (col, row) = run_both(&rows, &[reads_key], 4);
+        assert_eq!(col.unwrap(), row.unwrap());
+    }
+
+    fn fold_both(rows: &[Value], steps: &[Step], op: BinOp) -> (Result<Value>, Result<Value>) {
+        let stats = Stats::default();
+        let mut lanes = None;
+        let col = fold_chain(rows, steps, 64, &stats, op, &mut lanes).map(|()| lanes.unwrap());
+        let mut acc: Option<Value> = None;
+        let row = rows
+            .iter()
+            .try_for_each(|r| {
+                drive(r, steps, &mut |v| {
+                    acc = Some(match acc.take() {
+                        None => v,
+                        Some(a) => op.apply(&a, &v)?,
+                    });
+                    Ok(())
+                })
+            })
+            .map(|()| acc.unwrap());
+        (col, row)
+    }
+
+    #[test]
+    fn fold_chain_matches_the_row_fold_and_its_first_error() {
+        let rows = pairs(1000);
+        let value = step_map(RowExpr::Field(Box::new(RowExpr::Input), "_2".into()), None);
+        for op in [BinOp::Add, BinOp::Mul, BinOp::Min, BinOp::Max] {
+            let (col, row) = fold_both(&rows, std::slice::from_ref(&value), op);
+            assert_eq!(col.unwrap(), row.unwrap(), "{op:?}");
+        }
+        // `1 / (i - 700)` divides by zero in the middle of a tile.
+        let poisoned = step_map(
+            bin(
+                BinOp::Div,
+                RowExpr::Const(Value::Long(1)),
+                bin(
+                    BinOp::Sub,
+                    RowExpr::Col(0),
+                    RowExpr::Const(Value::Long(700)),
+                ),
+            ),
+            Some("s2:y"),
+        );
+        let (col, row) = fold_both(&rows, &[poisoned], BinOp::Add);
+        assert_eq!(col.unwrap_err().message, row.unwrap_err().message);
+        // The lane type changes between tiles: a tile of bools, then
+        // longs. `+` promotes through the per-element path; `&&` fails at
+        // the first long, exactly like the row fold.
+        let mut mixed: Vec<Value> = (0..64).map(|i| Value::Bool(i % 3 == 0)).collect();
+        mixed.extend((0..200).map(Value::Long));
+        let id = step_map(RowExpr::Input, None);
+        for op in [BinOp::Add, BinOp::And] {
+            let (col, row) = fold_both(&mixed, std::slice::from_ref(&id), op);
+            assert_eq!(
+                col.map_err(|e| e.message),
+                row.map_err(|e| e.message),
+                "{op:?}"
+            );
+        }
+        let (col, _) = fold_both(&mixed, &[id], BinOp::And);
+        assert!(col.unwrap_err().message.contains("expects booleans"));
+    }
+
+    #[test]
+    fn deferred_pieces_fold_like_one_pass() {
+        let stats = Stats::default();
+        let whole = |rows: &[Value], steps: &[Step], op: BinOp| {
+            let mut acc = None;
+            fold_chain(rows, steps, 64, &stats, op, &mut acc).map(|()| format!("{acc:?}"))
+        };
+        let in_pieces = |rows: &[Value], steps: &[Step], op: BinOp, cut: usize| {
+            let mut acc = None;
+            rows.chunks(cut)
+                .try_for_each(|piece| defer_chain(piece, steps, 64, &stats).fold_into(op, &mut acc))
+                .map(|()| format!("{acc:?}"))
+        };
+        // Order-dependent doubles from a `-0.0` first row: any regrouping
+        // of the fold changes the bits (`Debug` prints them exactly).
+        let mut doubles = vec![Value::Double(-0.0)];
+        doubles.extend((0..500).map(|i| Value::Double([1e16, 1.0, -1e16][i % 3] + i as f64 / 7.0)));
+        let id = step_map(RowExpr::Input, None);
+        for op in [BinOp::Add, BinOp::Mul, BinOp::Min, BinOp::Max] {
+            for cut in [1, 7, 64, 100, 501] {
+                let steps = std::slice::from_ref(&id);
+                assert_eq!(
+                    in_pieces(&doubles, steps, op, cut).unwrap(),
+                    whole(&doubles, steps, op).unwrap(),
+                    "{op:?} in pieces of {cut}"
+                );
+            }
+        }
+        // `&&` over longs fails in the fold at row 1, before the chain
+        // divides by zero at row 250 in a later piece: the fold's error
+        // comes first, as in one pass.
+        let rows: Vec<Value> = (0..300).map(|i| Value::Long(i - 250)).collect();
+        let poisoned = [step_map(
+            bin(BinOp::Div, RowExpr::Const(Value::Long(1)), RowExpr::Input),
+            Some("s3:X"),
+        )];
+        for (op, expect) in [(BinOp::And, "expects booleans"), (BinOp::Add, "s3:X")] {
+            let one = whole(&rows, &poisoned, op).unwrap_err().message;
+            assert!(one.contains(expect), "{one}");
+            for cut in [1, 50, 64, 200] {
+                let split = in_pieces(&rows, &poisoned, op, cut).unwrap_err().message;
+                assert_eq!(split, one, "{op:?} in pieces of {cut}");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use diablo_runtime::{array::key_value, size::slice_size, RuntimeError, Value};
+use diablo_runtime::{array::key_value, size::slice_size, AggOp, RuntimeError, Value};
 
 use crate::exchange::{pair_key, HashPartitioner, Partitioner, RangePartitioner};
 use crate::plan::{self, PartFn, PlanOp};
@@ -516,6 +516,26 @@ impl Dataset {
             });
         }
         Ok(acc)
+    }
+
+    /// Total aggregation `⊕/` with a runtime monoid: the per-partition
+    /// partial folds run inside the pending chain's fused stage — as
+    /// typed lane folds when the chain is columnar, never rebuilding the
+    /// surviving rows, with large partitions evaluated in morsels — and
+    /// the driver folds the partials in partition order. Rows fold
+    /// strictly left to right from the first surviving one, so the result
+    /// is bit-identical to [`Dataset::reduce`] with `op.op`. An empty
+    /// dataset yields the monoid's identity, or the error
+    /// [`AggOp::reduce`] raises when it has none.
+    pub fn aggregate(&self, op: AggOp) -> Result<Value> {
+        self.ctx.record_logical_op();
+        let partials = plan::fold(
+            &self.ctx,
+            &self.effective_plan(),
+            "reduce (partial fold)",
+            op.op,
+        )?;
+        op.reduce(partials.iter().flatten())
     }
 
     // ------------------------------------------------------------ shuffles

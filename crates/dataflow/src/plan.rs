@@ -1,7 +1,8 @@
 //! The lazy physical plan: a DAG of [`PlanOp`] nodes built by [`Dataset`]
 //! operators, plus the engine that runs it — the plan-running functions
-//! [`materialize`], [`consume`], [`exchange`], [`exchange_sorted`] and
-//! [`shuffle_by`], plain functions over the [`Context`].
+//! [`materialize`], [`consume`], [`fold`], [`exchange`],
+//! [`exchange_sorted`] and [`shuffle_by`], plain functions over the
+//! [`Context`].
 //!
 //! Narrow operators (`map`, `filter`, `flat_map`, `union`,
 //! `map_partitions`) never run when called — they append a node to the
@@ -32,9 +33,10 @@
 //!   runs through [`crate::columnar::drive_columnar`] in [`TILE_ROWS`]-row
 //!   tiles; any other chain runs tuple-at-a-time through [`drive`];
 //! * **scheduling** — a narrow stage splits into morsels only when a
-//!   partition exceeds [`Context::morsel_size`] rows; otherwise (and
-//!   always for consumers and partition-level functions) it runs one task
-//!   per partition;
+//!   partition exceeds [`Context::morsel_size`] rows, and so does the
+//!   columnar fold of a total reduction over a scan ([`fold`]); otherwise
+//!   (and always for other consumers and partition-level functions) it
+//!   runs one task per partition;
 //! * **exchange budget** — every exchange buffers rows under
 //!   [`Context::memory_budget`], spilling past it.
 //!
@@ -47,7 +49,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use diablo_runtime::{array::key_value, RuntimeError, Value};
+use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
 
 use crate::columnar::RowExpr;
 use crate::exchange::{pair_key, Exchange, ExchangeWriter, Partitioner};
@@ -743,6 +745,130 @@ where
     }
 }
 
+/// The consumer of a total reduction: per partition, the fold of its
+/// transformed rows with `op`, strictly left to right from the first one
+/// (`None` for a partition with no rows), in one fused physical stage.
+///
+/// Over a scan with a columnar chain, a partition larger than
+/// [`Context::morsel_size`] splits into morsels like a narrow stage. Each
+/// morsel evaluates into a [`FoldPiece`] (its final tile columns), and an
+/// [`OrderedFold`] folds every partition's pieces in row order as they
+/// complete, on the workers. The fold never regroups, so the result bits
+/// and the first error are those of one task per partition under any
+/// schedule. Any other plan runs one task per partition through
+/// [`consume`].
+///
+/// [`FoldPiece`]: crate::columnar::FoldPiece
+pub(crate) fn fold(
+    ctx: &Context,
+    plan: &Arc<PlanOp>,
+    label: &str,
+    op: BinOp,
+) -> Result<Vec<Option<Value>>> {
+    let Collapsed { base, steps } = collapse(plan);
+    let scan = matches!(base.as_ref(), PlanOp::Scan(_) | PlanOp::Cached(..));
+    if !scan || !crate::columnar::eligible(&steps) {
+        return consume(ctx, plan, label, |_, rows| rows.fold(op));
+    }
+    crate::verify::verify_plan(plan)?;
+    let parts = read_scan(ctx, &base)?.expect("a scan or cached base");
+    let stats = ctx.stats();
+    ctx.record_physical_stage();
+    ctx.plan_note(describe_stage(ctx, parts.len(), None, &steps, label));
+    note_layout(ctx, &steps);
+    let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+    let Some(items) = morsel_items(ctx, &sizes) else {
+        return per_partition(ctx, &parts, |p| {
+            PartitionRows::single(&parts[p], &steps, stats).fold(op)
+        });
+    };
+    // Items are ordered by (partition, start), so an item's rank within
+    // its partition is its distance from the partition's first item.
+    let mut first = vec![0; parts.len()];
+    let mut count = vec![0; parts.len()];
+    for (i, &(p, _, _)) in items.iter().enumerate().rev() {
+        first[p] = i;
+        count[p] += 1;
+    }
+    let folds: Vec<OrderedFold> = count.into_iter().map(OrderedFold::new).collect();
+    run_stage_weighted(
+        ctx,
+        &items,
+        |i| (items[i].2 - items[i].1) as u64,
+        |i, &(p, start, end): &Span, _| {
+            let rows = &parts[p][start..end];
+            let piece = crate::columnar::defer_chain(rows, &steps, TILE_ROWS, stats);
+            folds[p].offer(i - first[p], piece, op);
+            Ok::<_, RuntimeError>(())
+        },
+    )?;
+    // The first error in partition order, as one task per partition.
+    folds.into_iter().map(OrderedFold::finish).collect()
+}
+
+/// One partition's running fold over morsel pieces that complete in any
+/// order. A piece parks until every earlier piece of its partition has
+/// been folded; whichever worker completes that prefix folds the parked
+/// run, outside the lock. The fold stays strictly in row order, and no
+/// worker ever waits for another.
+struct OrderedFold(Mutex<FoldState>);
+
+struct FoldState {
+    parked: Vec<Option<crate::columnar::FoldPiece>>,
+    /// Rank of the next piece to fold.
+    next: usize,
+    /// A worker is folding; it will pick up pieces parked meanwhile.
+    busy: bool,
+    /// The fold so far, or the partition's first error.
+    acc: Result<Option<Value>>,
+}
+
+impl OrderedFold {
+    fn new(pieces: usize) -> OrderedFold {
+        OrderedFold(Mutex::new(FoldState {
+            parked: (0..pieces).map(|_| None).collect(),
+            next: 0,
+            busy: false,
+            acc: Ok(None),
+        }))
+    }
+
+    /// Hands in the piece of rank `rank` and folds every piece that is
+    /// now next in line, unless another worker already does.
+    fn offer(&self, rank: usize, piece: crate::columnar::FoldPiece, op: BinOp) {
+        let mut st = self.0.lock().expect("fold state");
+        st.parked[rank] = Some(piece);
+        if st.busy {
+            return;
+        }
+        st.busy = true;
+        loop {
+            let next = st.next;
+            let Some(piece) = st.parked.get_mut(next).and_then(Option::take) else {
+                st.busy = false;
+                return;
+            };
+            st.next += 1;
+            let mut acc = std::mem::replace(&mut st.acc, Ok(None));
+            drop(st);
+            // After an error the remaining pieces are only dropped.
+            if let Ok(a) = &mut acc {
+                if let Err(e) = piece.fold_into(op, a) {
+                    acc = Err(e);
+                }
+            }
+            st = self.0.lock().expect("fold state");
+            st.acc = acc;
+        }
+    }
+
+    fn finish(self) -> Result<Option<Value>> {
+        let st = self.0.into_inner().expect("fold state");
+        debug_assert_eq!(st.next, st.parked.len(), "every piece folded");
+        st.acc
+    }
+}
+
 /// Partitions `(key, value)` rows by key with `partitioner`: streams each
 /// source partition's transformed rows into the exchange sink, the bucket
 /// chosen per key.
@@ -896,6 +1022,17 @@ impl<'a> PartitionRows<'a> {
         }
         Ok(())
     }
+
+    /// Folds every transformed row with `op`, left to right from the first
+    /// one (`None` when there are none). Transparent chains fold their
+    /// final columnar lanes in place, in the same order.
+    pub(crate) fn fold(&self, op: BinOp) -> Result<Option<Value>> {
+        let mut acc = None;
+        for seg in &self.segments {
+            crate::columnar::fold_chain(seg.rows, seg.steps, TILE_ROWS, self.stats, op, &mut acc)?;
+        }
+        Ok(acc)
+    }
 }
 
 fn describe_stage(
@@ -1047,5 +1184,76 @@ mod tests {
         assert!(morsel_items(&ctx, &[100, 3]).is_some());
         ctx.set_static_scheduler(true);
         assert!(morsel_items(&ctx, &[100, 3]).is_none());
+    }
+
+    /// `1e16` first, then ones: folded left to right, every `+ 1.0`
+    /// rounds away (`1e16 + 1` ties to even); any regrouping adds the
+    /// ones' partial sums and changes the bits.
+    fn order_sensitive(n: usize) -> Vec<Value> {
+        std::iter::once(Value::Double(1e16))
+            .chain((1..n).map(|_| Value::Double(1.0)))
+            .collect()
+    }
+
+    #[test]
+    fn total_reductions_fold_without_regrouping_under_any_morsel_size() {
+        let rows = order_sensitive(5_000);
+        let sum = diablo_runtime::AggOp::new(BinOp::Add).unwrap();
+        for morsel in [1, 3, 64, 100_000] {
+            for fixed in [false, true] {
+                let ctx = Context::new(2, 2)
+                    .with_morsel_size(morsel)
+                    .with_static_scheduler(fixed);
+                let d = ctx
+                    .from_partitions(vec![rows.clone(), rows.clone()])
+                    .map_expr(RowExpr::Input)
+                    .unwrap();
+                // Each partition folds to 1e16; the partials add to 2e16.
+                let got = d.aggregate(sum).unwrap();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{:?}", Value::Double(2e16)),
+                    "morsel {morsel}, static scheduler {fixed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_fold_takes_pieces_in_any_arrival_order() {
+        let stats = Stats::default();
+        let id = [Step {
+            op: StepOp::Map(Arc::new(|v: &Value| Ok(v.clone()))),
+            tag: None,
+            expr: Some(Arc::new(RowExpr::Input)),
+        }];
+        let mut poisoned = order_sensitive(100);
+        // `+` of a double and a bool fails in the fold, at row 50.
+        poisoned[50] = Value::Bool(true);
+        for rows in [order_sensitive(100), poisoned] {
+            let mut whole = None;
+            let want = crate::columnar::fold_chain(&rows, &id, 4, &stats, BinOp::Add, &mut whole)
+                .map(|()| format!("{whole:?}"))
+                .map_err(|e| e.message);
+            let n = rows.chunks(7).count();
+            let forward: Vec<usize> = (0..n).collect();
+            let backward: Vec<usize> = (0..n).rev().collect();
+            let odd_first: Vec<usize> = (1..n).step_by(2).chain((0..n).step_by(2)).collect();
+            for order in [forward, backward, odd_first] {
+                let mut pieces: Vec<Option<_>> = rows
+                    .chunks(7)
+                    .map(|c| Some(crate::columnar::defer_chain(c, &id, 4, &stats)))
+                    .collect();
+                let fold = OrderedFold::new(n);
+                for &rank in &order {
+                    fold.offer(rank, pieces[rank].take().unwrap(), BinOp::Add);
+                }
+                let got = fold
+                    .finish()
+                    .map(|acc| format!("{acc:?}"))
+                    .map_err(|e| e.message);
+                assert_eq!(got, want, "arrival order {order:?}");
+            }
+        }
     }
 }

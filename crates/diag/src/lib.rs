@@ -59,6 +59,9 @@ pub mod codes {
     pub const SYNTAX: &str = "D001";
     /// Type error.
     pub const TYPE: &str = "D002";
+    /// The program nests statements, expressions or types deeper than the
+    /// parser's limit.
+    pub const NESTING: &str = "D003";
     /// Definition 3.1 restriction 1: non-incremental destination not affine.
     pub const NOT_AFFINE: &str = "D010";
     /// Definition 3.1 restriction 2: loop-carried dependence.

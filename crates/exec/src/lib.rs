@@ -26,7 +26,7 @@ mod pipeline;
 mod rexpr;
 
 pub use local::eval_local;
-pub use pipeline::run_comp;
+pub use pipeline::{bind_generator, run_comp};
 
 use std::collections::HashMap;
 

@@ -3,14 +3,20 @@
 //!
 //! Scalar target expressions (while conditions, total aggregations after
 //! Rule (16), scalar assignments) are evaluated on the driver — but their
-//! sub-expressions may still reference datasets, e.g.
-//! `sum := { sum + (+/{ v | (i, v) ← V }) }` after Rule (16). This module
-//! routes such sub-comprehensions to the engine:
+//! sub-expressions may still reference datasets. Rule (16) hands a lifted
+//! bag used once by an aggregation to that aggregation directly, so
+//! Conditional Sum compiles to
+//! `sum := { v₁ | let v₁ = (sum + +/{ v₂ | (_, v₂) ← V, (v₂ < 100) }) }`.
+//! This module routes such sub-comprehensions to the engine:
 //!
-//! * a comprehension that mentions a dataset runs as a pipeline
+//! * an aggregation `⊕/{…}` over a comprehension that mentions a dataset
+//!   and reads no driver-row binding (the pipeline sees only session
+//!   globals) becomes one *distributed reduce*: the comprehension's fused
+//!   chain folds map-side partials per partition — typed columnar lane
+//!   folds when the chain is transparent — and the driver folds the
+//!   partials ([`diablo_dataflow::Dataset::aggregate`]);
+//! * any other comprehension that mentions a dataset runs as a pipeline
 //!   ([`crate::pipeline::run_comp`]) and is collected back;
-//! * an aggregation over such a comprehension becomes a *distributed
-//!   reduce* (with map-side partials) instead of collect-then-fold;
 //! * everything else is evaluated in memory.
 
 use std::collections::HashMap;
@@ -69,16 +75,14 @@ pub fn eval_local(e: &CExpr, env: &Env, sess: &Session) -> Result<Value> {
                 .ok_or_else(|| RuntimeError::new(format!("value {v} has no field `{field}`")))
         }
         CExpr::Agg(op, inner) => {
-            // Distributed reduce when the bag is dataset-backed.
+            // Distributed reduce when the bag is a dataset-backed
+            // comprehension that reads no driver-row binding (the pipeline
+            // sees only session globals).
             if let CExpr::Comp(c) = inner.as_ref() {
-                if sess.datasets_mentioned(inner) && env.is_empty() {
-                    let data = run_comp(c, sess)?;
-                    let op = *op;
-                    let reduced = data.reduce(move |a, b| op.op.apply(a, b))?;
-                    return match reduced {
-                        Some(v) => Ok(v),
-                        None => op.reduce([].iter()),
-                    };
+                let fv = inner.free_vars();
+                if fv.iter().any(|v| sess.is_dataset(v)) && !fv.iter().any(|v| env.contains_key(v))
+                {
+                    return run_comp(c, sess)?.aggregate(*op);
                 }
             }
             let v = eval_local(inner, env, sess)?;

@@ -236,6 +236,43 @@ fn bind_into(p: &Pattern, v: &Value, env: &mut Env) -> Result<()> {
     Ok(())
 }
 
+/// Binds a generator pattern over every row of a source dataset: each row
+/// becomes the tuple of the pattern's variables, in
+/// [`Pattern::var_list`] order, and a row the pattern does not match fails
+/// with `pattern … does not match source row …`.
+///
+/// `v ← A` and flat tuple patterns of variables and wildcards (the array
+/// traversals `(_, v) ← V`, `(i, v) ← V`) lower to a transparent
+/// [`RowExpr`], so the scan stays columnar-eligible; the arity check is
+/// part of the expression, so a row of the wrong width fails on the
+/// columnar path exactly as on the row path. Nested patterns stay an
+/// opaque closure.
+pub fn bind_generator(data: &Dataset, p: &Pattern) -> Result<Dataset> {
+    match p {
+        // `v ← A` wraps each source row as a 1-tuple.
+        Pattern::Var(_) => return data.map_expr(RowExpr::Tuple(vec![RowExpr::Input])),
+        Pattern::Tuple(ps) if ps.iter().all(|q| !matches!(q, Pattern::Tuple(_))) => {
+            let take = ps
+                .iter()
+                .enumerate()
+                .filter_map(|(i, q)| matches!(q, Pattern::Var(_)).then_some(i))
+                .collect();
+            return data.map_expr(RowExpr::unpack(ps.len(), take, format!("{p:?}")));
+        }
+        _ => {}
+    }
+    let p = p.clone();
+    data.map(move |raw| {
+        let mut row = Vec::with_capacity(4);
+        if !p.bind_values(raw, &mut row) {
+            return Err(RuntimeError::new(format!(
+                "pattern {p:?} does not match source row {raw}"
+            )));
+        }
+        Ok(Value::tuple(row))
+    })
+}
+
 /// A join key pair: left expression (over current rows) and right
 /// expression (over the new generator's pattern variables).
 struct JoinKey {
@@ -330,21 +367,7 @@ impl Pipe {
         // Fast path: one driver environment with no extra columns — one
         // output row per input row, no per-row Vec-of-Vecs.
         let rows = if local_rows.len() == 1 && local_rows[0].is_empty() {
-            if matches!(p, Pattern::Var(_)) {
-                // `v ← A` wraps each source row as a 1-tuple: transparent
-                // to the engine, so the scan stage stays columnar-eligible.
-                data.map_expr(RowExpr::Tuple(vec![RowExpr::Input]))?
-            } else {
-                data.map(move |raw| {
-                    let mut row = Vec::with_capacity(4);
-                    if !p.bind_values(raw, &mut row) {
-                        return Err(RuntimeError::new(format!(
-                            "pattern {p:?} does not match source row {raw}"
-                        )));
-                    }
-                    Ok(Value::tuple(row))
-                })?
-            }
+            bind_generator(&data, &p)?
         } else {
             data.flat_map(move |raw| {
                 let mut out = Vec::with_capacity(local_rows.len());

@@ -5,6 +5,11 @@
 //! `d := d ⊕ e` (or `d := e ⊕ d`) for a *commutative* `⊕` is recognized as
 //! the incremental update `d ⊕= e`. This is how programs written in the
 //! style of Appendix B (e.g. `eq := eq && v == x`) are admitted.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels of statements, expressions
+//! and types together, so hostile input (thousands of nested parentheses)
+//! fails with a `D003` error instead of overflowing the parser's stack —
+//! and the recursive passes after it only ever see bounded depth.
 
 use diablo_diag::{codes, Diagnostics};
 use diablo_runtime::{BinOp, Func, UnOp};
@@ -14,10 +19,14 @@ use crate::lexer::{Lexer, Span, Token, TokenKind};
 use crate::types::Type;
 use crate::{LangError, Result};
 
+/// The deepest nesting of statements, expressions and types the parser
+/// accepts. Past it, parsing fails with a `D003` error.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a whole program.
 pub fn parse(src: &str) -> Result<Program> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     p.program()
 }
 
@@ -36,7 +45,7 @@ pub fn parse_multi(src: &str, diags: &mut Diagnostics) -> Option<Program> {
             return None;
         }
     };
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let before = diags.error_count();
     let program = p.program_recovering(diags);
     (diags.error_count() == before).then_some(program)
@@ -45,7 +54,7 @@ pub fn parse_multi(src: &str, diags: &mut Diagnostics) -> Option<Program> {
 /// Parses a single expression (used by tests and the REPL-style examples).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     p.expect(&TokenKind::Eof)?;
     Ok(e)
@@ -54,9 +63,35 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `f` one nesting level deeper, failing with `D003` at the
+    /// current token once [`MAX_NESTING`] levels are open.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(LangError::new(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.span(),
+            )
+            .with_code(codes::NESTING));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -216,6 +251,10 @@ impl Parser {
     // ---------------------------------------------------------- types
 
     fn ty(&mut self) -> Result<Type> {
+        self.nested(Parser::ty_inner)
+    }
+
+    fn ty_inner(&mut self) -> Result<Type> {
         let span = self.span();
         match self.peek_kind().clone() {
             TokenKind::Ident(name) => {
@@ -285,6 +324,10 @@ impl Parser {
     // ---------------------------------------------------------- statements
 
     fn stmt(&mut self) -> Result<Stmt> {
+        self.nested(Parser::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt> {
         let span = self.span();
         if self.at_ident("var") {
             return self.decl();
@@ -478,6 +521,10 @@ impl Parser {
 
     /// `expr := and_expr (('||') and_expr)*`
     pub(crate) fn expr(&mut self) -> Result<Expr> {
+        self.nested(Parser::or_expr)
+    }
+
+    fn or_expr(&mut self) -> Result<Expr> {
         let mut e = self.and_expr()?;
         while self.eat(&TokenKind::OrOr) {
             let rhs = self.and_expr()?;
@@ -549,7 +596,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
-            let e = self.unary_expr()?;
+            let e = self.nested(Parser::unary_expr)?;
             // Fold negation of literals so `-1` is a constant.
             return Ok(match e {
                 Expr::Const(Const::Long(n)) => Expr::Const(Const::Long(-n)),
@@ -558,7 +605,7 @@ impl Parser {
             });
         }
         if self.eat(&TokenKind::Bang) {
-            let e = self.unary_expr()?;
+            let e = self.nested(Parser::unary_expr)?;
             return Ok(Expr::Un(UnOp::Not, Box::new(e)));
         }
         self.postfix_expr()
@@ -949,6 +996,36 @@ mod tests {
         let mut diags = Diagnostics::new();
         assert!(parse_multi(src, &mut diags).is_none());
         assert!(diags.error_count() >= 1);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_d003_error() {
+        let deep = |n: usize| format!("var x: long = {}1{};", "(".repeat(n), ")".repeat(n));
+        // Declaration, statement and expression levels sit above the
+        // parentheses, so a few fewer than MAX_NESTING parse.
+        assert!(parse(&deep(MAX_NESTING - 3)).is_ok());
+        for n in [MAX_NESTING, 5_000] {
+            let err = parse(&deep(n)).unwrap_err();
+            assert_eq!(err.code, Some(codes::NESTING), "{err}");
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+        // Unary chains, statement blocks and types nest too.
+        let neg = format!("var x: long = {}1;", "-".repeat(5_000));
+        assert_eq!(parse(&neg).unwrap_err().code, Some(codes::NESTING));
+        let blocks = format!("{}{}", "{".repeat(5_000), "}".repeat(5_000));
+        assert_eq!(parse(&blocks).unwrap_err().code, Some(codes::NESTING));
+        let ty = format!(
+            "input V: vector[{}long{}];",
+            "(long, ".repeat(5_000),
+            ")".repeat(5_000)
+        );
+        assert_eq!(parse(&ty).unwrap_err().code, Some(codes::NESTING));
+        // parse_multi reports it under its own code and keeps going.
+        let mut diags = Diagnostics::new();
+        let src = format!("{}\nvar y: long = ;", deep(5_000));
+        assert!(parse_multi(&src, &mut diags).is_none());
+        let codes_seen: Vec<&str> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(codes_seen, [codes::NESTING, codes::SYNTAX]);
     }
 
     #[test]

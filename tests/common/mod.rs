@@ -10,10 +10,12 @@
 //! a chain built with [`map_step`]/[`filter_step`] runs once transparent
 //! (`map_expr`/`filter_expr`, lowered to columnar tiles) and once as its
 //! opaque twin (the same expression behind a closure, which keeps the
-//! stage on the row path).
+//! stage on the row path). [`generator_twin`] is the opaque twin of the
+//! executor's generator binding, `diablo_exec::bind_generator`.
 
 #![allow(dead_code)]
 
+use diablo_comp::ir::Pattern;
 use diablo_dataflow::{Context, Dataset, RowExpr};
 use diablo_runtime::{RuntimeError, Value};
 
@@ -81,4 +83,20 @@ pub fn filter_step(d: &Dataset, e: RowExpr, transparent: bool) -> Dataset {
         })
         .unwrap()
     }
+}
+
+/// The opaque twin of `diablo_exec::bind_generator`: binds `p` to every
+/// row inside a closure, with the executor's mismatch error text.
+pub fn generator_twin(d: &Dataset, p: &Pattern) -> Dataset {
+    let p = p.clone();
+    d.map(move |raw| {
+        let mut row = Vec::new();
+        if !p.bind_values(raw, &mut row) {
+            return Err(RuntimeError::new(format!(
+                "pattern {p:?} does not match source row {raw}"
+            )));
+        }
+        Ok(Value::tuple(row))
+    })
+    .unwrap()
 }

@@ -103,8 +103,8 @@ fn every_diagnostic_code_is_exercised() {
         }
     }
     let expected = [
-        "D001", "D002", "D010", "D011", "D012", "D013", "D014", "D015", "D016", "D020", "D021",
-        "D022", "D023", "D024", "D025",
+        "D001", "D002", "D003", "D010", "D011", "D012", "D013", "D014", "D015", "D016", "D020",
+        "D021", "D022", "D023", "D024", "D025",
     ];
     for code in expected {
         assert!(seen.contains(code), "no UI case emits {code}");

@@ -7,9 +7,10 @@
 
 mod common;
 
-use common::{filter_step, legs, map_step};
+use common::{filter_step, generator_twin, legs, map_step};
+use diablo_comp::ir::Pattern;
 use diablo_dataflow::{Context, Dataset, RowExpr};
-use diablo_runtime::{array::key_value, BinOp, RuntimeError, Value};
+use diablo_runtime::{array::key_value, AggOp, BinOp, RuntimeError, Value};
 
 /// A context for one leg. Three workers over five partitions keep the
 /// work-stealing pool busy even at the default morsel size.
@@ -399,5 +400,205 @@ fn columnar_falls_back_per_stage_on_opaque_steps() {
             "opaque closure must be counted as a row fallback: {after:?}"
         );
         assert_eq!(after.vectorized_batches, 0, "{after:?}");
+    }
+}
+
+/// `(_, v) ← V` lowers to a transparent unpack of each source row; its
+/// arity check must fail exactly like the opaque closure it replaces —
+/// same first error text, same statement tag — whether the rows are
+/// collected or folded by a total aggregation. The bad row sits in the
+/// middle of a tile: a bare long, a 3-tuple, or (third case) every row of
+/// the input is a 3-tuple, so a whole tile is uniformly the wrong width.
+/// Reading `v` as the pair's `_2` field would let a 3-tuple through.
+#[test]
+fn generator_patterns_reject_mismatched_rows_like_their_opaque_twin() {
+    let pattern = Pattern::pair(Pattern::Wild, Pattern::var("v"));
+    let triple = |i: i64| Value::tuple(vec![Value::Long(i), Value::Long(2), Value::Long(3)]);
+    let cases: Vec<(&str, Vec<Value>)> = vec![
+        ("long", good_rows_with(3000, 1000, Value::Long(7))),
+        ("3-tuple", good_rows_with(3000, 1000, triple(1000))),
+        ("all 3-tuples", (0..3000).map(triple).collect()),
+    ];
+    for (case, rows) in cases {
+        for leg in legs() {
+            let at = format!("{case}, leg `{}`", leg.name());
+            // One partition, so the bad row shares a tile with good ones.
+            let ctx = leg.apply(Context::new(2, 1));
+            let d = ctx.from_vec(rows.clone());
+            let mut seen = Vec::new();
+            for transparent in [true, false] {
+                ctx.set_statement_label(Some("s1:sum"));
+                let bound = if transparent {
+                    diablo_exec::bind_generator(&d, &pattern).unwrap()
+                } else {
+                    generator_twin(&d, &pattern)
+                };
+                let v = map_step(&bound, RowExpr::Col(0), transparent);
+                ctx.set_statement_label(None);
+                let collected = v.try_collect().unwrap_err().message;
+                let folded = v
+                    .aggregate(AggOp::new(BinOp::Add).unwrap())
+                    .unwrap_err()
+                    .message;
+                assert_eq!(collected, folded, "{at}: collect vs fold");
+                seen.push(collected);
+            }
+            assert_eq!(seen[0], seen[1], "{at}: transparent vs opaque");
+            assert!(
+                seen[0].starts_with("[s1:sum] pattern")
+                    && seen[0].contains("does not match source row"),
+                "{at}: {}",
+                seen[0]
+            );
+        }
+    }
+    // End to end: a compiled program reports the same error and tag.
+    let program = diablo_core::compile(diablo_workloads::programs::CONDITIONAL_SUM).unwrap();
+    let mut s = diablo_exec::Session::new(Context::new(2, 1));
+    s.bind_input("V", good_rows_with(3000, 1000, triple(1000)));
+    let err = s.run(&program).unwrap_err().message;
+    assert!(
+        err.starts_with("[s1:sum] pattern")
+            && err.ends_with("does not match source row (1000, 2, 3)"),
+        "{err}"
+    );
+}
+
+/// `n` rows `(i, i as double)` with row `at` replaced by `bad`.
+fn good_rows_with(n: i64, at: usize, bad: Value) -> Vec<Value> {
+    let mut rows: Vec<Value> = (0..n)
+        .map(|i| Value::pair(Value::Long(i), Value::Double(i as f64)))
+        .collect();
+    rows[at] = bad;
+    rows
+}
+
+/// A value with doubles compared by bit pattern (`-0.0` ≠ `0.0`).
+fn bits(v: &Value) -> String {
+    match v {
+        Value::Double(x) => format!("double {:#x}", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Total aggregations fold each columnar tile's final lane in place. The
+/// fold must be the row fold exactly — `acc ⊕ row` left to right from the
+/// first surviving row — so every operator returns the same bits as the
+/// opaque twin and as `Dataset::reduce`, on inputs whose result depends
+/// on order: `-0.0` first (starting from the identity `0` would give
+/// `+0.0`), `1e16 + 1.0 - 1e16`, signed zeros under min/max, `i64`
+/// wrap-around, and a lane whose type changes between and within tiles.
+/// Two partitions of 10,000 rows each span three 4096-row tiles.
+#[test]
+fn lane_folds_are_bit_identical_to_the_row_fold() {
+    let doubles = |xs: &[f64]| -> Vec<Value> {
+        (0..20_000)
+            .map(|i| Value::Double(if i == 0 { -0.0 } else { xs[i % xs.len()] }))
+            .collect()
+    };
+    let longs =
+        |xs: &[i64]| -> Vec<Value> { (0..20_000).map(|i| Value::Long(xs[i % xs.len()])).collect() };
+    // Partition 0: a long tile, then doubles; partition 1: long and
+    // double rows interleaved inside every tile.
+    let mixed: Vec<Value> = (0..20_000)
+        .map(|i| {
+            let mixed_tile = if i < 10_000 { i >= 4096 } else { i % 2 == 0 };
+            if mixed_tile {
+                Value::Double(i as f64 * 0.1)
+            } else {
+                Value::Long(i as i64)
+            }
+        })
+        .collect();
+    let bools = |every: usize, on: bool| -> Vec<Value> {
+        (0..20_000)
+            .map(|i| Value::Bool((i % every == 0) == on))
+            .collect()
+    };
+    let cases: Vec<(&str, BinOp, Vec<Value>)> = vec![
+        ("sum", BinOp::Add, doubles(&[1e16, 1.0, -1e16, 0.1, -0.3])),
+        ("all -0.0", BinOp::Add, vec![Value::Double(-0.0); 20_000]),
+        (
+            "product",
+            BinOp::Mul,
+            doubles(&[1.1, 0.9, 3.0, 1.0 / 3.0, -1.0]),
+        ),
+        ("min", BinOp::Min, doubles(&[0.0, -0.0, 5.0, -2.5, 0.0])),
+        ("max", BinOp::Max, doubles(&[-0.0, 0.0, -5.0, 2.5, -0.0])),
+        ("and", BinOp::And, bools(7919, false)),
+        ("or", BinOp::Or, bools(7919, true)),
+        (
+            "long wrap +",
+            BinOp::Add,
+            longs(&[i64::MAX, 3, i64::MIN + 1, i64::MAX]),
+        ),
+        (
+            "long wrap *",
+            BinOp::Mul,
+            longs(&[i64::MAX, 3, -7, 1 << 40]),
+        ),
+        ("mixed +", BinOp::Add, mixed.clone()),
+        ("mixed min", BinOp::Min, mixed),
+        (
+            "strings",
+            BinOp::Min,
+            (0..20_000)
+                .map(|i| Value::str(format!("w{}", i % 97)))
+                .collect(),
+        ),
+    ];
+    for (case, op, values) in cases {
+        for leg in legs() {
+            let at = format!("{case}, leg `{}`", leg.name());
+            let ctx = leg.apply(Context::new(3, 2));
+            // Pair rows, so the transparent chain is a real projection.
+            let rows: Vec<Value> = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| Value::pair(Value::Long(i as i64), v.clone()))
+                .collect();
+            let (p0, p1) = rows.split_at(10_000);
+            let d = ctx.from_partitions(vec![p0.to_vec(), p1.to_vec()]);
+            let agg = AggOp::new(op).unwrap();
+            let value = |transparent| {
+                map_step(
+                    &d,
+                    RowExpr::Field(Box::new(RowExpr::Input), "_2".into()),
+                    transparent,
+                )
+            };
+            let before = ctx.stats().snapshot();
+            let lanes = value(true).aggregate(agg).unwrap();
+            let after = ctx.stats().snapshot().since(&before);
+            assert!(after.vectorized_batches >= 6, "{at}: {after:?}");
+            assert_eq!(after.row_fallback_stages, 0, "{at}: {after:?}");
+            let twin = value(false).aggregate(agg).unwrap();
+            let reduce = value(false)
+                .reduce(move |a, b| op.apply(a, b))
+                .unwrap()
+                .unwrap();
+            assert_eq!(bits(&lanes), bits(&twin), "{at}: lane fold vs opaque twin");
+            assert_eq!(bits(&lanes), bits(&reduce), "{at}: lane fold vs reduce");
+        }
+    }
+    // An empty input folds to the monoid identity, or the identity error.
+    let ctx = Context::new(2, 2);
+    for (op, want) in [
+        (BinOp::Add, Ok(Value::Long(0))),
+        (BinOp::Mul, Ok(Value::Long(1))),
+        (BinOp::And, Ok(Value::Bool(true))),
+        (BinOp::Or, Ok(Value::Bool(false))),
+        (
+            BinOp::Min,
+            Err("reduction min/ over an empty bag has no identity"),
+        ),
+    ] {
+        for transparent in [true, false] {
+            let empty = map_step(&ctx.empty(), RowExpr::Col(1), transparent);
+            let got = empty
+                .aggregate(AggOp::new(op).unwrap())
+                .map_err(|e| e.message);
+            assert_eq!(got, want.clone().map_err(String::from), "{op:?}");
+        }
     }
 }

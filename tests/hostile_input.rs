@@ -52,3 +52,39 @@ fn deeply_nested_values_are_rejected_and_the_server_keeps_serving() {
     client.ping().expect("the server still answers ping");
     server.stop();
 }
+
+/// `var x: long = ((…(1)…));` with `depth` pairs of parentheses.
+fn nested_parens(depth: usize) -> String {
+    format!("var x: long = {}1{};", "(".repeat(depth), ")".repeat(depth))
+}
+
+#[test]
+fn deeply_nested_programs_are_rejected_and_the_server_keeps_serving() {
+    let server =
+        Server::start("127.0.0.1:0", Context::new(2, 4), ServeConfig::default()).expect("server");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // 5,000 nested parentheses overflowed the recursive-descent parser's
+    // stack on the connection thread and aborted the daemon.
+    let err = client
+        .run(&nested_parens(5_000), Vec::new(), Vec::new(), true)
+        .expect_err("a program past the nesting limit is rejected");
+    assert!(err.contains("nesting deeper than"), "{err}");
+
+    client.ping().expect("the server still answers ping");
+    // A program just inside the limit still compiles and runs there:
+    // `1 + (1 + (…))` nests one Bin node per level, so every pass after
+    // the parser recurses that deep too.
+    let depth = diablo_lang::parser::MAX_NESTING - 2;
+    let program = format!(
+        "var x: long = {}1{};",
+        "(1 + ".repeat(depth),
+        ")".repeat(depth)
+    );
+    let out = client
+        .run(&program, Vec::new(), Vec::new(), true)
+        .expect("a program inside the limit runs");
+    assert!(!out.outputs.is_empty());
+    server.stop();
+}

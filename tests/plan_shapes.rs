@@ -307,3 +307,73 @@ fn stage_counts_grow_with_program_complexity() {
         simple.stages
     );
 }
+
+#[test]
+fn total_aggregations_run_as_columnar_reduces() {
+    // Every single-scan aggregation program folds each `⊕/` as one fused
+    // columnar chain straight into the reduce consumer: no materialized
+    // bag, no opaque generator, no row fallback, and nothing for the D025
+    // lint to flag.
+    let programs = [
+        wl::conditional_sum(5_000, 1),
+        wl::equal(5_000, 2),
+        wl::string_match(5_000, 3),
+        wl::linear_regression(5_000, 4),
+        wl::average(5_000, 5),
+        wl::conditional_count(5_000, 6),
+        wl::count(5_000, 7),
+        wl::sum(5_000, 8),
+        wl::pca(5_000, 9),
+    ];
+    for w in &programs {
+        let compiled = compile(w.source).expect("compiles");
+        let ctx = Context::new(2, 4);
+        let mut s = Session::new(ctx.clone());
+        for (n, v) in &w.scalars {
+            s.bind_scalar(n, v.clone());
+        }
+        for (n, rows) in &w.collections {
+            s.bind_input(n, rows.clone());
+        }
+        let plan = s.explain(&compiled).expect("explains");
+        let stages: Vec<&str> = plan
+            .lines()
+            .filter(|l| l.trim_start().starts_with("stage "))
+            .collect();
+        let layouts: Vec<&str> = plan
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("layout: "))
+            .collect();
+        assert!(!stages.is_empty(), "{}: {plan}", w.name);
+        for stage in &stages {
+            assert!(
+                stage.ends_with("⇒ reduce (partial fold)")
+                    || stage.contains("⇒ reduce (partial fold) (fused"),
+                "{}: every chain ends in the reduce consumer: {plan}",
+                w.name
+            );
+        }
+        assert!(!plan.contains("materialize"), "{}: {plan}", w.name);
+        assert_eq!(layouts.len(), stages.len(), "{}: {plan}", w.name);
+        assert!(
+            layouts.iter().all(|l| *l == "columnar"),
+            "{}: {plan}",
+            w.name
+        );
+
+        let stats = stats_of(w, &Context::new(2, 4));
+        assert!(stats.vectorized_batches > 0, "{}: {stats:?}", w.name);
+        assert_eq!(stats.row_fallback_stages, 0, "{}: {stats:?}", w.name);
+
+        let mut diags = diablo_diag::Diagnostics::new();
+        let (tp, compiled) = diablo_core::compile_multi(w.source, &mut diags).expect("compiles");
+        let lints = diablo_core::lint_program(&tp, &compiled);
+        assert!(
+            lints
+                .iter()
+                .all(|d| d.code != diablo_diag::codes::ROW_FALLBACK),
+            "{}: {lints:?}",
+            w.name
+        );
+    }
+}
